@@ -14,9 +14,7 @@ from .lattice import (
 )
 from .semigroup import (
     AffineSemigroup,
-    InvalidWeight,
     divides,
-    enumerate_below,
     is_member,
     min_common_multiples,
 )
@@ -45,14 +43,11 @@ from .groebner import (
 from .fan import (
     GroebnerCone,
     SweepStalled,
-    basis_at_weight,
     cone_of_basis,
     groebner_fan,
-    interior_weight,
 )
 from .nash import (
     DualNotNonnegative,
-    Laurent,
     PnFamily,
     VerificationReport,
     a3_ordering,

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MatrixOrdering, weight_refine
+from .algebra import MatrixOrdering
 from .groebner import Ideal, MarkedBasis, buchberger
 from .lattice import (
     Cone2,
     Fan2,
-    Vec,
     cone_from_inequalities,
     cross,
     multiplicity,
@@ -45,15 +44,6 @@ def cone_of_basis(basis: MarkedBasis, support: Cone2) -> GroebnerCone:
         if e != mark
     ]
     return GroebnerCone(cone_from_inequalities(normals, support), basis)
-
-
-def interior_weight(gc: GroebnerCone) -> Vec:
-    """An integer vector strictly inside the cone (sum of the rays)."""
-    return vadd(gc.cone.ray1, gc.cone.ray2)
-
-
-def basis_at_weight(ideal: Ideal, w: Vec, base_ord: MatrixOrdering) -> MarkedBasis:
-    return buchberger(ideal, weight_refine(base_ord, w))
 
 
 def groebner_fan(ideal: Ideal, sg: AffineSemigroup, max_cones: int = 10 ** 4) -> list:

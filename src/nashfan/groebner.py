@@ -151,18 +151,20 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
     heap = []
     tiebreak = itertools.count()
 
-    def push_pairs(j):
+    def insert(f):
+        r = _reduce(f, basis, ord)
+        if r.is_zero:
+            return
+        mr = leading_monomial(ord, r)
+        j = len(basis)
+        basis.append((r * (1 / r.coeff(mr)), mr))
         for i in range(j):
-            for m in min_common_multiples(sg, basis[i][1], basis[j][1]):
+            for m in min_common_multiples(sg, basis[i][1], mr):
                 heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))
 
     # reduce-on-insert keeps the working basis small from the start
     for g in sorted(ideal.generators, key=lambda g: ord.key(leading_monomial(ord, g))):
-        r = _reduce(g, basis, ord)
-        if not r.is_zero:
-            mr = leading_monomial(ord, r)
-            basis.append((r * (1 / r.coeff(mr)), mr))
-            push_pairs(len(basis) - 1)
+        insert(g)
 
     reductions = 0
     while heap:
@@ -171,12 +173,7 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
         if reductions > max_reductions:
             raise PairQueueExhausted(f"more than {max_reductions} S-pair reductions")
         (gi, mi), (gj, mj) = basis[i], basis[j]
-        spoly = gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj))
-        r = _reduce(spoly, basis, ord)
-        if not r.is_zero:
-            mr = leading_monomial(ord, r)
-            basis.append((r * (1 / r.coeff(mr)), mr))
-            push_pairs(len(basis) - 1)
+        insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
 
     # minimalize: drop elements whose mark is divisible by another kept mark
     basis.sort(key=lambda gm: ord.key(gm[1]))
@@ -185,17 +182,11 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
         if not any(divides(sg, m2, m) for _, m2 in kept):
             kept.append((g, m))
 
-    # inter-reduce tails to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for idx, (g, m) in enumerate(kept):
-            others = kept[:idx] + kept[idx + 1:]
-            tail = _reduce(g - Poly.monomial(sg, m), others, ord)
-            reduced = Poly.monomial(sg, m) + tail
-            if reduced != g:
-                kept[idx] = (reduced, m)
-                changed = True
+    # inter-reduce tails in one pass: every monomial of a reduced tail lies
+    # below its own mark, so no mark changes and each element stays reduced
+    for idx, (g, m) in enumerate(kept):
+        lead = Poly.monomial(sg, m)
+        kept[idx] = (lead + _reduce(g - lead, kept[:idx] + kept[idx + 1:], ord), m)
 
     return MarkedBasis(tuple(kept), ord)
 

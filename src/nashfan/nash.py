@@ -4,13 +4,14 @@ specialization, Nash-blowup fans, and the verification report."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ContextMismatch, MatrixOrdering, Poly
 from .fan import cone_of_basis, fan_of_cones, groebner_fan
 from .groebner import Ideal, buchberger, ideal_membership, standard_monomials
-from .lattice import Cone2, Vec, dual_cone, hilbert_basis, multiplicity, vadd, vdot, vsub
+from .lattice import Cone2, Vec, dual_cone, hilbert_basis, multiplicity, vadd, vdot, vscale, vsub
 from .semigroup import AffineSemigroup, divides
 
 
@@ -36,17 +37,10 @@ def jn_generators(sg: AffineSemigroup, n: int) -> Ideal:
         raise ValueError("n must be positive")
     binomials = [Poly.monomial(sg, a) - 1 for a in sg.generators]
     gens = tuple(
-        _product(sg, combo)
+        math.prod(combo, start=Poly.monomial(sg, (0, 0)))
         for combo in itertools.combinations_with_replacement(binomials, n + 1)
     )
     return Ideal(gens)
-
-
-def _product(sg, polys):
-    out = Poly.monomial(sg, (0, 0))
-    for p in polys:
-        out = out * p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -81,23 +75,19 @@ def pn_family(n: int) -> PnFamily:
         raise ValueError("n must be positive")
     if n % 2 == 1:
         p = ((n + 3) // 2, 0)
-        q0 = vadd(((n + 3) // 2, 1), vscale2((n - 1) // 2, (1, 2)))
-        q = tuple(vsub(q0, vscale2(i, (1, 2))) for i in range((n - 1) // 2 + 1))
+        q0 = vadd(((n + 3) // 2, 1), vscale((n - 1) // 2, (1, 2)))
+        q = tuple(vsub(q0, vscale(i, (1, 2))) for i in range((n - 1) // 2 + 1))
         r0 = vadd(q0, (0, 1))
-        r = tuple(vadd(r0, vscale2(j, (1, 2))) for j in range((n - 1) // 2 + 1))
-        s = vscale2((n + 1) // 2, (3, 4))
+        r = tuple(vadd(r0, vscale(j, (1, 2))) for j in range((n - 1) // 2 + 1))
+        s = vscale((n + 1) // 2, (3, 4))
     else:
         p = ((n + 2) // 2, 0)
-        q0 = vadd(((n + 2) // 2, 0), vscale2(n // 2, (1, 2)))
-        q = tuple(vsub(q0, vscale2(i, (1, 2))) for i in range((n - 2) // 2 + 1))
+        q0 = vadd(((n + 2) // 2, 0), vscale(n // 2, (1, 2)))
+        q = tuple(vsub(q0, vscale(i, (1, 2))) for i in range((n - 2) // 2 + 1))
         r0 = vadd(q0, (0, 1))
-        r = tuple(vadd(r0, vscale2(j, (1, 2))) for j in range(n // 2 + 1))
-        s = vscale2((n + 2) // 2, (3, 4))
+        r = tuple(vadd(r0, vscale(j, (1, 2))) for j in range(n // 2 + 1))
+        s = vscale((n + 2) // 2, (3, 4))
     return PnFamily(n, p, q, r, s)
-
-
-def vscale2(k: int, a: Vec) -> Vec:
-    return (k * a[0], k * a[1])
 
 
 def dn_set(n: int) -> set:
@@ -134,143 +124,54 @@ def psi(n: int, a: Vec) -> int:
 # ---------------------------------------------------------------------------
 # the Laurent specialization u -> 1/lambda, v -> lambda
 
-class Laurent:
-    """Laurent polynomial in one variable over Q, as exponent -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Laurent(out)
-
-    def __sub__(self, other):
-        return self + Laurent({e: -c for e, c in other.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Laurent({e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return Laurent(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "Laurent":
-        return Laurent({e + k: c for e, c in self.terms.items()})
-
-    def __repr__(self):
-        return f"Laurent({dict(sorted(self.terms.items()))})"
-
-
-def lambda_minus_one_power(k: int) -> Laurent:
-    out = Laurent({0: 1})
-    for _ in range(k):
-        out = out * Laurent({1: 1, 0: -1})
-    return out
-
-
-def phi_specialize(f: Poly) -> Laurent:
-    """Image of f under u^x v^y -> lambda^(y - x)."""
+def phi_specialize(f: Poly) -> dict:
+    """Image of f under u^x v^y -> lambda^(y - x), as exponent -> coefficient."""
     if f.sg != a3_semigroup():
         raise ContextMismatch("phi is defined on the A3 semigroup ring only")
     out = {}
     for e, c in f.terms.items():
         k = phi_linear(e)
-        out[k] = out.get(k, Fraction(0)) + c
-    return Laurent(out)
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
-def divisible_by_lambda_minus_one(f: Laurent, k: int) -> bool:
-    """k-fold synthetic division by (lambda - 1) with zero remainders."""
-    if f.is_zero:
-        return True
-    lo = min(f.terms)
-    hi = max(f.terms)
-    coeffs = [f.terms.get(e, Fraction(0)) for e in range(lo, hi + 1)]
-    for _ in range(k):
-        # divide sum c_i x^i by (x - 1): remainder is the value at 1
-        rem = Fraction(0)
-        quot = []
-        for c in reversed(coeffs):
-            rem = rem + c
-            quot.append(rem)
-        if rem != 0:
-            return False
-        coeffs = list(reversed(quot[:-1]))
-        if not coeffs:
-            return True
-    return True
+def laurent_gcd(images) -> list:
+    """Monic gcd over Q of Laurent polynomials given as exponent -> coefficient.
 
-
-def _solve_exact(columns, target):
-    """Whether target is a rational combination of the column vectors."""
-    rows = len(target)
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(rows)]
-    ncols = len(columns)
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pivot_row, rows) if aug[r][col] != 0), None)
-        if pivot is None:
+    Q[lambda^(+-1)] is a principal ideal domain whose units are the
+    monomials, so each image is divided by its lowest power of lambda and
+    the gcd is returned as coefficients from lambda^0 upward.  The empty
+    list stands for the zero ideal (no images, or all of them zero).
+    """
+    g = []
+    for f in images:
+        if not f:
             continue
-        aug[pivot_row], aug[pivot] = aug[pivot], aug[pivot_row]
-        pv = aug[pivot_row][col]
-        aug[pivot_row] = [x / pv for x in aug[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    # consistent iff no row reads 0 = nonzero
-    return not any(
-        all(x == 0 for x in row[:-1]) and row[-1] != 0 for row in aug
-    )
+        lo = min(f)
+        a = [Fraction(f.get(e, 0)) for e in range(lo, max(f) + 1)]
+        while a:
+            g, a = a, _remainder(g, a)
+    return [c / g[-1] for c in g]
+
+
+def _remainder(a, b):
+    """Remainder of a on division by b, both coefficient lists low to high."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        for i, c in enumerate(b, len(a) - len(b)):
+            a[i] -= q * c
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
 
 
 def phi_ideal_is_power(n: int) -> bool:
-    """Two-sided check that phi(J_n) equals the (n+1)-st power of (lambda-1).
-
-    One side: every specialized generator is divisible by (lambda-1)^(n+1).
-    Other side: (lambda-1)^(n+1) is a rational combination of shifted
-    specialized generators with shifts in [-(n+1), n+1].
-    """
-    sg = a3_semigroup()
-    images = [phi_specialize(g) for g in jn_generators(sg, n).generators]
-    if not all(divisible_by_lambda_minus_one(f, n + 1) for f in images):
-        return False
-    target = lambda_minus_one_power(n + 1)
-    shifted = [
-        f.shift(k)
-        for f in images if not f.is_zero
-        for k in range(-(n + 1), n + 2)
-    ]
-    exps = set(target.terms)
-    for f in shifted:
-        exps |= set(f.terms)
-    exps = sorted(exps)
-    columns = [[f.terms.get(e, Fraction(0)) for e in exps] for f in shifted]
-    tvec = [target.terms.get(e, Fraction(0)) for e in exps]
-    return _solve_exact(columns, tvec)
+    """Whether phi(J_n) = ((lambda - 1)^(n+1)): the gcd of the images is that power."""
+    images = [phi_specialize(g) for g in jn_generators(a3_semigroup(), n).generators]
+    k = n + 1
+    return laurent_gcd(images) == [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +280,7 @@ def verify_paper(n_max: int) -> VerificationReport:
             dropped = pn_family(n - 1).points() - fam.points() if n >= 2 else set()
             bad = [
                 m for g, m in basis.elements
-                if m in dropped and not phi_specialize(g).is_zero
+                if m in dropped and phi_specialize(g)
             ]
             claims.append(ClaimResult(
                 n, "g", "phi annihilates basis elements marked in the dropped strand",

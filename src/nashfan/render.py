@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import Cone2, vadd
+from .lattice import Cone2, multiplicity, vadd
 from .nash import dn_set, pn_family
 
 UNIT = 40
@@ -85,10 +85,7 @@ def pn_dn_figure(n: int) -> str:
 
 def fan_figure(cones, support: Cone2) -> str:
     """The fan inside its support cone, rays drawn to a fixed radius."""
-    rays = [support.ray1]
-    for gc in cones:
-        rays.append(gc.cone.ray2)
-    max_c = max(max(abs(r[0]), abs(r[1])) for r in rays)
+    rays = [support.ray1] + [gc.cone.ray2 for gc in cones]
     radius = 6  # lattice units
     width = height = 2 * (radius + 2 * MARGIN)
     cx, cy = (width // 2, height // 2)
@@ -106,7 +103,6 @@ def fan_figure(cones, support: Cone2) -> str:
             'stroke="black" stroke-width="1.5"/>'
         )
     for gc in cones:
-        from .lattice import multiplicity
         mid = vadd(gc.cone.ray1, gc.cone.ray2)
         mx, my = ray_end(mid)
         body.append(

@@ -9,8 +9,8 @@ import random
 import time
 from pathlib import Path
 
-from nashfan.algebra import Poly, initial_form
-from nashfan.fan import basis_at_weight, cone_of_basis, fan_of_cones, groebner_fan
+from nashfan.algebra import Poly, initial_form, weight_refine
+from nashfan.fan import cone_of_basis, fan_of_cones, groebner_fan
 from nashfan.groebner import (
     Ideal,
     MarkedBasis,
@@ -172,7 +172,7 @@ def test_criterion_7_engine_property_suite(a3):
                     s * gc.cone.ray1[0] + t * gc.cone.ray2[0],
                     s * gc.cone.ray1[1] + t * gc.cone.ray2[1],
                 )
-                stable = basis_at_weight(ideal, w, ordering).elements == gc.basis.elements
+                stable = buchberger(ideal, weight_refine(ordering, w)).elements == gc.basis.elements
                 ok = ok and stable
 
     report(7, ok, started)
@@ -181,14 +181,14 @@ def test_criterion_7_engine_property_suite(a3):
 def test_criterion_8_laurent_specialization(a3, jn_basis):
     started = time.perf_counter()
     sg, _ = a3
-    ok = phi_specialize(Poly.monomial(sg, (1, 1)) - 1).is_zero
+    ok = not phi_specialize(Poly.monomial(sg, (1, 1)) - 1)
     for n in range(1, 7):
         ok = ok and phi_ideal_is_power(n)
     for n in (2, 4, 6, 8):
         dropped = pn_family(n - 1).points() - pn_family(n).points()
         for g, m in jn_basis(n).elements:
             if m in dropped:
-                ok = ok and phi_specialize(g).is_zero
+                ok = ok and not phi_specialize(g)
     report(8, ok, started)
 
 

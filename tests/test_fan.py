@@ -1,15 +1,9 @@
 import random
 
-from nashfan.algebra import Poly, initial_form
-from nashfan.fan import (
-    basis_at_weight,
-    cone_of_basis,
-    fan_of_cones,
-    fan_to_json,
-    groebner_fan,
-    interior_weight,
-)
-from nashfan.lattice import Cone2, multiplicity, validate_fan, vdot, vsub
+from nashfan.algebra import Poly, initial_form, weight_refine
+from nashfan.fan import cone_of_basis, fan_of_cones, fan_to_json, groebner_fan
+from nashfan.groebner import buchberger
+from nashfan.lattice import Cone2, multiplicity, validate_fan, vadd, vdot, vsub
 from nashfan.nash import jn_generators, l_vector
 
 
@@ -33,9 +27,9 @@ def test_cone_of_basis_examples(a3, jn_basis):
 def test_interior_weight_examples(a3, jn_basis):
     sg, _ = a3
     gc1 = cone_of_basis(jn_basis(1), sg.support_cone)
-    assert interior_weight(gc1) == (2, 0)
+    assert vadd(gc1.cone.ray1, gc1.cone.ray2) == (2, 0)
     # strict inequalities against every mark difference of the basis
-    w = interior_weight(gc1)
+    w = vadd(gc1.cone.ray1, gc1.cone.ray2)
     for g, mark in jn_basis(1).elements:
         for e in g.support():
             if e != mark:
@@ -46,20 +40,21 @@ def test_interior_weight_of_quadrant():
     from nashfan.fan import GroebnerCone
     # interior weight depends only on the cone geometry
     gc = GroebnerCone(Cone2((1, 0), (0, 1)), None)
-    assert interior_weight(gc) == (1, 1)
+    assert vadd(gc.cone.ray1, gc.cone.ray2) == (1, 1)
 
 
 def test_basis_at_weight_examples(a3, jn_basis):
     sg, ordering = a3
     ideal = jn_generators(sg, 1)
-    at_20 = basis_at_weight(ideal, (2, 0), ordering)
+    at_20 = buchberger(ideal, weight_refine(ordering, (2, 0)))
     assert at_20.elements == jn_basis(1).elements
     # any base ordering at an interior weight gives the same marked basis
     from nashfan.algebra import MatrixOrdering
     other = MatrixOrdering(((0, 1), (4, -3)), sg)
     gc = cone_of_basis(jn_basis(1), sg.support_cone)
-    assert basis_at_weight(ideal, interior_weight(gc), other).elements == jn_basis(1).elements
-    assert basis_at_weight(ideal, (0, 0), ordering).elements == jn_basis(1).elements
+    w = vadd(gc.cone.ray1, gc.cone.ray2)
+    assert buchberger(ideal, weight_refine(other, w)).elements == jn_basis(1).elements
+    assert buchberger(ideal, weight_refine(ordering, (0, 0))).elements == jn_basis(1).elements
 
 
 def test_groebner_fan_j1(a3, jn_basis):
@@ -99,7 +94,7 @@ def test_basis_stable_across_interior_weights(a3):
         for gc in groebner_fan(ideal, sg):
             for _ in range(5):
                 w = random_interior_weight(gc.cone, rng)
-                assert basis_at_weight(ideal, w, ordering).elements == gc.basis.elements
+                assert buchberger(ideal, weight_refine(ordering, w)).elements == gc.basis.elements
 
 
 def test_initial_form_at_interior_weight_is_the_mark(a3):

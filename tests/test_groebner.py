@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nashfan.algebra import MatrixOrdering, Poly
-from nashfan.fan import cone_of_basis
+from nashfan.fan import cone_of_basis, groebner_fan
 from nashfan.groebner import (
     Ideal,
     MarkedBasis,
@@ -18,9 +18,11 @@ from nashfan.groebner import (
     s_polynomials,
     standard_monomials,
 )
-from nashfan.lattice import contains, vadd
-from nashfan.semigroup import enumerate_below
+from nashfan.lattice import Cone2, contains, vadd
 from nashfan.nash import jn_generators
+from nashfan.semigroup import AffineSemigroup
+
+from enumeration import enumerate_below
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
 
@@ -264,3 +266,14 @@ def test_basis_json_round_trip(a3, jn_basis):
     basis = jn_basis(2)
     again = MarkedBasis.from_json(ordering, basis.to_json())
     assert again.elements == basis.elements
+
+
+def test_tail_inter_reduction_on_cyclic_cone():
+    # the fan sweep of J_2 over cone((0,1),(5,-2)) yields elements whose
+    # tails still hold other marks after the S-pair loop; the reduced
+    # result must be a fixpoint of buchberger under the same ordering
+    sg = AffineSemigroup.from_support_cone(Cone2((0, 1), (5, -2)))
+    for gc in groebner_fan(jn_generators(sg, 2), sg):
+        basis = gc.basis
+        again = buchberger(Ideal(tuple(g for g, _ in basis.elements)), basis.ordering)
+        assert again.elements == basis.elements

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,14 +9,12 @@ from nashfan.groebner import buchberger, normal_form, Ideal
 from nashfan.lattice import Cone2, contains, validate_fan, vadd, vsub
 from nashfan.nash import (
     DualNotNonnegative,
-    Laurent,
     a3_ordering,
     a3_semigroup,
-    divisible_by_lambda_minus_one,
     dn_set,
     jn_generators,
     l_vector,
-    lambda_minus_one_power,
+    laurent_gcd,
     nash_fan,
     phi_ideal_is_power,
     phi_linear,
@@ -217,11 +216,11 @@ def test_l_vector_parity():
 
 def test_phi_specialize_examples(a3):
     sg, _ = a3
-    assert phi_specialize(Poly.monomial(sg, (1, 1)) - 1).is_zero
-    assert phi_specialize(Poly.monomial(sg, (1, 0)) - 1) == Laurent({-1: 1, 0: -1})
-    assert phi_specialize(Poly.monomial(sg, (4, 4)) - 1).is_zero
+    assert not phi_specialize(Poly.monomial(sg, (1, 1)) - 1)
+    assert phi_specialize(Poly.monomial(sg, (1, 0)) - 1) == {-1: 1, 0: -1}
+    assert not phi_specialize(Poly.monomial(sg, (4, 4)) - 1)
     other_sg = a3_semigroup()
-    assert phi_specialize(Poly.monomial(other_sg, (3, 4))) == Laurent({1: 1})
+    assert phi_specialize(Poly.monomial(other_sg, (3, 4))) == {1: 1}
 
 
 def test_phi_specialize_context_mismatch():
@@ -246,15 +245,49 @@ def test_phi_kernel_is_uv_minus_one(a3):
                 e = (e[0] + k * g[0], e[1] + k * g[1])
             terms[e] = terms.get(e, 0) + rng.randint(-2, 2)
         f = Poly(sg, terms)
-        assert phi_specialize(f).is_zero == normal_form(f, kernel_basis).is_zero
+        assert (not phi_specialize(f)) == normal_form(f, kernel_basis).is_zero
 
 
-def test_divisibility_by_lambda_minus_one():
-    assert divisible_by_lambda_minus_one(lambda_minus_one_power(4), 4)
-    assert not divisible_by_lambda_minus_one(lambda_minus_one_power(3), 4)
-    assert divisible_by_lambda_minus_one(Laurent({}), 7)
-    shifted = lambda_minus_one_power(2).shift(-5)
-    assert divisible_by_lambda_minus_one(shifted, 2)
+def power_row(k):
+    """Coefficients of (lambda - 1)^k from lambda^0 upward."""
+    return [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+
+
+def laurent(row, shift=0):
+    return {i + shift: c for i, c in enumerate(row) if c}
+
+
+def test_laurent_gcd_examples():
+    assert laurent_gcd([laurent(power_row(4)), laurent(power_row(2), -5)]) == power_row(2)
+    assert laurent_gcd([laurent(power_row(3), 7)]) == power_row(3)
+    # coprime images generate the unit ideal
+    assert laurent_gcd([{0: 1, 1: 1}, laurent(power_row(2))]) == [1]
+    # scalars and Fractions normalize to the monic generator
+    assert laurent_gcd([{0: -2, 1: 2}, {3: Fraction(1, 3), 5: Fraction(-1, 3)}]) == power_row(1)
+
+
+def test_laurent_gcd_of_zero_ideal():
+    assert laurent_gcd([]) == []
+    assert laurent_gcd([{}, {}]) == []
+    assert laurent_gcd([{}, laurent(power_row(2), -1)]) == power_row(2)
+    sg = a3_semigroup()
+    kernel = [Poly.monomial(sg, e) - 1 for e in ((1, 1), (2, 2), (5, 5))]
+    assert laurent_gcd([phi_specialize(g) for g in kernel]) == []
+
+
+def test_laurent_gcd_negative_controls(a3):
+    sg, _ = a3
+    # phi(J_(n-1)) is the n-th power, strictly larger than the (n+1)-st
+    for n in range(2, 6):
+        images = [phi_specialize(g) for g in jn_generators(sg, n - 1).generators]
+        assert laurent_gcd(images) == power_row(n)
+        assert laurent_gcd(images) != power_row(n + 1)
+    # (u^2 - 1)(u^3 v^4 - 1) maps to a unit times (lambda - 1)^2 (lambda + 1)
+    u2, u3v4 = Poly.monomial(sg, (2, 0)), Poly.monomial(sg, (3, 4))
+    ideal = Ideal(((u2 - 1) * (u3v4 - 1),))
+    gcd = laurent_gcd([phi_specialize(g) for g in ideal.generators])
+    assert gcd == [1, -1, -1, 1]
+    assert all(gcd != power_row(k) for k in range(6))
 
 
 def test_phi_of_jn_is_the_power_ideal():
@@ -308,11 +341,3 @@ def test_nash_fan_rejects_bad_coordinates():
     with pytest.raises(ValueError):
         nash_fan(Cone2((0, 1), (4, -3)), 0)
 
-
-def test_laurent_arithmetic():
-    a = Laurent({0: 1, 1: -1})
-    b = Laurent({-1: Fraction(1, 2)})
-    assert a * b == Laurent({-1: Fraction(1, 2), 0: Fraction(-1, 2)})
-    assert (a - a).is_zero
-    assert a + b == Laurent({-1: Fraction(1, 2), 0: 1, 1: -1})
-    assert a.shift(3) == Laurent({3: 1, 4: -1})

@@ -3,13 +3,9 @@ import random
 import pytest
 
 from nashfan.lattice import vadd, vdot, vsub
-from nashfan.semigroup import (
-    InvalidWeight,
-    divides,
-    enumerate_below,
-    is_member,
-    min_common_multiples,
-)
+from nashfan.semigroup import divides, is_member, min_common_multiples
+
+from enumeration import InvalidWeight, enumerate_below
 
 
 def mcm_oracle(sg, a, b):
