@@ -47,7 +47,6 @@ from .fan import (
     groebner_fan,
 )
 from .nash import (
-    DualNotNonnegative,
     PnFamily,
     VerificationReport,
     a3_ordering,

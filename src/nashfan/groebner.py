@@ -175,18 +175,15 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
         (gi, mi), (gj, mj) = basis[i], basis[j]
         insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
 
-    # minimalize: drop elements whose mark is divisible by another kept mark
+    # one pass by increasing mark: drop an element whose mark a kept mark
+    # divides, else reduce it by the kept ones.  A mark lies below all of
+    # its proper multiples, so no later mark divides a monomial of an
+    # earlier element, and no kept mark divides the (monic) mark itself.
     basis.sort(key=lambda gm: ord.key(gm[1]))
     kept = []
     for g, m in basis:
         if not any(divides(sg, m2, m) for _, m2 in kept):
-            kept.append((g, m))
-
-    # inter-reduce tails in one pass: every monomial of a reduced tail lies
-    # below its own mark, so no mark changes and each element stays reduced
-    for idx, (g, m) in enumerate(kept):
-        lead = Poly.monomial(sg, m)
-        kept[idx] = (lead + _reduce(g - lead, kept[:idx] + kept[idx + 1:], ord), m)
+            kept.append((_reduce(g, kept, ord), m))
 
     return MarkedBasis(tuple(kept), ord)
 

@@ -119,7 +119,7 @@ def hilbert_basis(c: Cone2) -> set:
     basis = set()
     for p in pts:
         reducible = any(
-            q != p and vsub(p, q) != (0, 0) and contains(c, vsub(p, q))
+            q != p and contains(c, vsub(p, q))
             for q in pts
         )
         if not reducible:

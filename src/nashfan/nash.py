@@ -11,12 +11,8 @@ from fractions import Fraction
 from .algebra import ContextMismatch, MatrixOrdering, Poly
 from .fan import cone_of_basis, fan_of_cones, groebner_fan
 from .groebner import Ideal, buchberger, ideal_membership, standard_monomials
-from .lattice import Cone2, Vec, dual_cone, hilbert_basis, multiplicity, vadd, vdot, vscale, vsub
+from .lattice import Cone2, Vec, multiplicity, vadd, vdot, vscale, vsub
 from .semigroup import AffineSemigroup, divides
-
-
-class DualNotNonnegative(ValueError):
-    """The dual cone leaves the first quadrant; pick better coordinates."""
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +292,7 @@ def verify_paper(n_max: int) -> VerificationReport:
 
 def nash_fan(surface_cone: Cone2, n: int):
     """Fan of the normalized n-th Nash blowup with per-cone multiplicities."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    dual = dual_cone(surface_cone)
-    basis = sorted(hilbert_basis(dual))
-    if any(x < 0 or y < 0 for x, y in basis):
-        raise DualNotNonnegative(
-            f"dual cone generators {basis} leave the first quadrant"
-        )
-    sg = AffineSemigroup(dual, tuple(basis), surface_cone)
+    sg = AffineSemigroup.from_support_cone(surface_cone)
     cones = groebner_fan(jn_generators(sg, n), sg)
     mults = [multiplicity(gc.cone) for gc in cones]
     return fan_of_cones(cones, sg.support_cone), mults, any(m > 1 for m in mults)

@@ -29,12 +29,9 @@ class AffineSemigroup:
     support_cone: Cone2       # sigma, the cone of weight vectors
 
     @classmethod
-    def from_dual_cone(cls, dual: Cone2) -> "AffineSemigroup":
-        return cls(dual, tuple(sorted(hilbert_basis(dual))), dual_cone(dual))
-
-    @classmethod
     def from_support_cone(cls, support: Cone2) -> "AffineSemigroup":
-        return cls.from_dual_cone(dual_cone(support))
+        dual = dual_cone(support)
+        return cls(dual, tuple(sorted(hilbert_basis(dual))), support)
 
     def to_json(self) -> dict:
         return {

@@ -56,6 +56,10 @@ def test_nash_verdicts():
     regular = run("nash", "--cone", "1,0,0,1", "--n", "1")
     assert regular.exit_code == 0
     assert regular.output.strip() == "REGULAR (all multiplicities 1)"
+    # the dual of this cone leaves the first quadrant
+    off_quadrant = run("nash", "--cone", "1,0,1,2", "--n", "1")
+    assert off_quadrant.exit_code == 0
+    assert off_quadrant.output.strip() == "REGULAR (all multiplicities 1)"
     data = json.loads(run("nash", "--cone", "0,1,4,-3", "--n", "1", "--format", "json").output)
     assert data["is_singular"] is True
     assert max(data["multiplicities"]) == 2
@@ -63,7 +67,8 @@ def test_nash_verdicts():
 
 def test_nash_usage_and_engine_errors():
     assert run("nash", "--cone", "0,1,4", "--n", "1").exit_code == 2
-    assert run("nash", "--cone", "1,0,1,2", "--n", "1").exit_code == 2
+    assert run("nash", "--cone", "1,0,2,0", "--n", "1").exit_code == 2
+    assert run("nash", "--cone", "0,0,2,1", "--n", "1").exit_code == 2
     assert run("gb").exit_code == 2
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -6,9 +7,8 @@ import pytest
 
 from nashfan.algebra import ContextMismatch, Poly
 from nashfan.groebner import buchberger, normal_form, Ideal
-from nashfan.lattice import Cone2, contains, validate_fan, vadd, vsub
+from nashfan.lattice import Cone2, contains, cross, primitive, validate_fan, vadd, vdot, vsub
 from nashfan.nash import (
-    DualNotNonnegative,
     a3_ordering,
     a3_semigroup,
     dn_set,
@@ -24,7 +24,7 @@ from nashfan.nash import (
     theta,
     verify_paper,
 )
-from nashfan.semigroup import divides
+from nashfan.semigroup import AffineSemigroup, divides
 
 N_RANGE = range(1, 13)
 
@@ -336,8 +336,103 @@ def test_nash_fan_smooth_cone():
 
 
 def test_nash_fan_rejects_bad_coordinates():
-    with pytest.raises(DualNotNonnegative):
-        nash_fan(Cone2((1, 0), (1, 2)), 1)
+    # the dual of cone((1,0),(1,2)) leaves the first quadrant; the fan is
+    # computed all the same and agrees with its GL2(Z) image cone((0,1),(2,-1))
+    for c in (Cone2((1, 0), (1, 2)), Cone2((0, 1), (2, -1))):
+        fan, mults, singular = nash_fan(c, 1)
+        assert mults == [1, 1]
+        assert not singular
+        assert validate_fan(fan)
     with pytest.raises(ValueError):
         nash_fan(Cone2((0, 1), (4, -3)), 0)
 
+
+# ---------------------------------------------------------------------------
+# n = 1 oracle: the normal fan inside sigma of the Newton polyhedron
+# conv{a_i + a_j : det(a_i, a_j) != 0} + sigma^vee of the logarithmic
+# Jacobian ideal (Gonzalez Perez-Teissier, RACSAM 2014)
+
+def cyclic_cones(d_max):
+    return [
+        Cone2((0, 1), (d, -k))
+        for d in range(2, d_max + 1)
+        for k in range(1, d)
+        if math.gcd(d, k) == 1
+    ]
+
+
+def newton_fan_cones(sigma: Cone2) -> list:
+    """Cones of the normal fan of the Newton polyhedron inside sigma, by angle."""
+    hb = AffineSemigroup.from_support_cone(sigma).generators
+    pts = {vadd(a, b) for a in hb for b in hb if cross(a, b)}
+    rays = {sigma.ray1, sigma.ray2}
+    for p in pts:
+        for q in pts:
+            if p == q:
+                continue
+            w = primitive((p[1] - q[1], q[0] - p[0]))
+            if not contains(sigma, w):
+                continue
+            # w is the inner normal of the edge [p, q] iff w.x is least there
+            if vdot(w, p) == min(vdot(w, x) for x in pts):
+                rays.add(w)
+    order = sorted(rays, key=functools.cmp_to_key(lambda a, b: -cross(a, b)))
+    return [Cone2(a, b) for a, b in zip(order, order[1:])]
+
+
+def test_newton_oracle_examples():
+    # A3: two cones of multiplicity 2 meeting along (2,-1), by angle
+    assert newton_fan_cones(Cone2((0, 1), (4, -3))) == [
+        Cone2((4, -3), (2, -1)), Cone2((2, -1), (0, 1)),
+    ]
+    assert newton_fan_cones(Cone2((1, 0), (0, 1))) == [Cone2((1, 0), (0, 1))]
+    assert len(cyclic_cones(12)) == 45
+
+
+def test_nash_fan_matches_newton_oracle():
+    for c in cyclic_cones(12):
+        assert list(nash_fan(c, 1)[0].cones) == newton_fan_cones(c), c
+
+
+# ---------------------------------------------------------------------------
+# GL2(Z) invariance: the Nash blowup does not depend on coordinates
+
+UNIMODULAR = (
+    ((0, -1), (1, 0)),      # rotation by 90 degrees
+    ((-1, -1), (2, 1)),
+    ((0, 1), (1, 0)),       # det -1: swap the coordinates
+    ((1, 0), (3, -1)),      # det -1
+)
+
+
+def apply(mat, v):
+    return (vdot(mat[0], v), vdot(mat[1], v))
+
+
+def mapped(mat, c: Cone2) -> Cone2:
+    return Cone2(apply(mat, c.ray1), apply(mat, c.ray2))
+
+
+def assert_gl2_invariant(c: Cone2, n: int):
+    fan, mults, singular = nash_fan(c, n)
+    cone_mults = dict(zip(fan.cones, mults))
+    for mat in UNIMODULAR:
+        fan2, mults2, singular2 = nash_fan(mapped(mat, c), n)
+        assert sorted(mults2) == sorted(mults), (c, mat)
+        assert singular2 == singular, (c, mat)
+        assert dict(zip(fan2.cones, mults2)) == {
+            mapped(mat, t): m for t, m in cone_mults.items()
+        }, (c, mat)
+
+
+def test_nash_fan_gl2_invariant_n1():
+    assert {cross(*mat) for mat in UNIMODULAR} == {1, -1}
+    rotated = AffineSemigroup.from_support_cone(mapped(UNIMODULAR[0], Cone2((0, 1), (4, -3))))
+    assert any(x < 0 or y < 0 for x, y in rotated.generators)
+    for c in cyclic_cones(7):
+        assert_gl2_invariant(c, 1)
+
+
+def test_nash_fan_gl2_invariant_n2():
+    for c in (Cone2((0, 1), (4, -3)), Cone2((0, 1), (5, -2))):
+        assert_gl2_invariant(c, 2)
