@@ -97,34 +97,38 @@ def multiplicity(c: Cone2) -> int:
     return cross(c.ray1, c.ray2)
 
 
+def minimal_points(c: Cone2, lo1: int, lo2: int) -> set:
+    """Divisibility-minimal lattice points m with α(m) >= lo1, β(m) >= lo2.
+
+    In the cone's coordinates α(m) = cross(m, ray2), β(m) = cross(ray1, m),
+    divisibility is the componentwise order, so the minimal points form a
+    staircase.  The points with α = a have β ≡ a·t (mod d), d = cross(ray1,
+    ray2), t = β(v) for a v with α(v) = 1; gcd(t, d) = 1, so walking a up
+    from lo1, keeping each new lowest β, ends at β = lo2 within d steps.
+    """
+    (x1, y1), (x2, y2) = c.ray1, c.ray2
+    d = cross(c.ray1, c.ray2)
+    # v = (vx, vy) with vx*y2 - vy*x2 = 1
+    vx = pow(y2, -1, abs(x2)) if x2 else y2
+    vy = (vx * y2 - 1) // x2 if x2 else 0
+    t = cross(c.ray1, (vx, vy))
+    points, lowest, a = set(), lo2 + d, lo1
+    while lowest != lo2:
+        b = lo2 + (a * t - lo2) % d
+        if b < lowest:
+            lowest = b
+            points.add(((a * x1 + b * x2) // d, (a * y1 + b * y2) // d))
+        a += 1
+    return points
+
+
 def hilbert_basis(c: Cone2) -> set:
     """Minimal generating set of c intersected with Z^2.
 
-    Every irreducible element lies in the fundamental parallelogram of the
-    primitive rays, so a box scan over that parallelogram is exhaustive.
+    ray2 is the only irreducible element with α = 0; the others are the
+    minimal points with α >= 1, all with β < d so ray2 divides none.
     """
-    d = cross(c.ray1, c.ray2)
-    corners = [(0, 0), c.ray1, c.ray2, vadd(c.ray1, c.ray2)]
-    xs = [p[0] for p in corners]
-    ys = [p[1] for p in corners]
-    pts = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if p == (0, 0):
-                continue
-            a, b = cross(p, c.ray2), cross(c.ray1, p)
-            if 0 <= a <= d and 0 <= b <= d:
-                pts.append(p)
-    basis = set()
-    for p in pts:
-        reducible = any(
-            q != p and contains(c, vsub(p, q))
-            for q in pts
-        )
-        if not reducible:
-            basis.add(p)
-    return basis
+    return minimal_points(c, 1, 0) | {c.ray2}
 
 
 def _angular_cmp(a: Vec, b: Vec) -> int:

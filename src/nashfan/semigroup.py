@@ -15,18 +15,18 @@ from .lattice import (
     cross,
     dual_cone,
     hilbert_basis,
-    vdot,
+    minimal_points,
     vsub,
 )
 
 
 @dataclass(frozen=True)
 class AffineSemigroup:
-    """sigma^vee intersected with Z^2, with a fixed generator list."""
+    """σ^∨ intersected with Z^2, with a fixed generator list."""
 
-    dual_cone: Cone2          # sigma^vee, the cone of exponents
+    dual_cone: Cone2          # σ^∨, the cone of exponents
     generators: tuple         # Hilbert basis of dual_cone ∩ Z^2
-    support_cone: Cone2       # sigma, the cone of weight vectors
+    support_cone: Cone2       # σ, the cone of weight vectors
 
     @classmethod
     def from_support_cone(cls, support: Cone2) -> "AffineSemigroup":
@@ -50,31 +50,12 @@ def divides(sg: AffineSemigroup, b: Vec, a: Vec) -> bool:
 
 
 def min_common_multiples(sg: AffineSemigroup, a: Vec, b: Vec) -> set:
-    """Divisibility-minimal elements of (a + sigma_Z) ∩ (b + sigma_Z).
+    """Divisibility-minimal elements of (a + σ^∨) ∩ (b + σ^∨) ∩ Z^2.
 
-    Let n1, n2 be the facet normals of sigma^vee (the rays of sigma), with
-    n1 vanishing on ray rho1 of sigma^vee and n2 on rho2.  A common multiple
-    m with n2-slack >= n2.rho1 stays a common multiple after subtracting
-    rho1, and likewise for rho2, so every minimal element lies in the
-    parallelogram where both slacks are below those pairings.
+    A common multiple is a point whose coordinates α, β (see
+    ``minimal_points``) are at least those of both a and b.
     """
-    rho1, rho2 = sg.dual_cone.ray1, sg.dual_cone.ray2
-    normals = [sg.support_cone.ray1, sg.support_cone.ray2]
-    n_a = next(n for n in normals if vdot(n, rho1) == 0)
-    n_b = next(n for n in normals if vdot(n, rho2) == 0)
-    c_a = vdot(n_a, rho2)   # drop of the n_a-slack when subtracting rho2
-    c_b = vdot(n_b, rho1)   # drop of the n_b-slack when subtracting rho1
-    lo_a = max(vdot(n_a, a), vdot(n_a, b))
-    lo_b = max(vdot(n_b, a), vdot(n_b, b))
-    det = cross(n_a, n_b)
-    candidates = []
-    for p in range(lo_a, lo_a + c_a):
-        for q in range(lo_b, lo_b + c_b):
-            # solve n_a.m = p, n_b.m = q
-            mx, my = p * n_b[1] - q * n_a[1], q * n_a[0] - p * n_b[0]
-            if mx % det == 0 and my % det == 0:
-                candidates.append((mx // det, my // det))
-    return {
-        m for m in candidates
-        if not any(m2 != m and divides(sg, m2, m) for m2 in candidates)
-    }
+    c = sg.dual_cone
+    lo1 = max(cross(a, c.ray2), cross(b, c.ray2))
+    lo2 = max(cross(c.ray1, a), cross(c.ray1, b))
+    return minimal_points(c, lo1, lo2)

@@ -10,6 +10,7 @@ from nashfan.fan import cone_of_basis, groebner_fan
 from nashfan.groebner import (
     Ideal,
     MarkedBasis,
+    PairQueueExhausted,
     QuotientNotFinite,
     buchberger,
     colon_contains,
@@ -277,3 +278,9 @@ def test_tail_inter_reduction_on_cyclic_cone():
         basis = gc.basis
         again = buchberger(Ideal(tuple(g for g, _ in basis.elements)), basis.ordering)
         assert again.elements == basis.elements
+
+
+def test_buchberger_cap_raises(a3):
+    sg, ordering = a3
+    with pytest.raises(PairQueueExhausted):
+        buchberger(jn_generators(sg, 2), ordering, max_reductions=5)

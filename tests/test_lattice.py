@@ -11,10 +11,13 @@ from nashfan.lattice import (
     cross,
     dual_cone,
     hilbert_basis,
+    minimal_points,
     multiplicity,
     primitive,
+    rot_ccw,
     validate_fan,
     vadd,
+    vscale,
     vsub,
 )
 
@@ -107,7 +110,7 @@ def test_hilbert_basis_brute_force_cross_check():
     irreducible = {
         p for p in pts
         if not any(
-            q != p and vsub(p, q) != (0, 0) and contains(c, vsub(p, q))
+            q != p and contains(c, vsub(p, q))
             for q in pts
         )
     }
@@ -130,6 +133,94 @@ def test_hilbert_basis_elements_irreducible_on_random_cones():
             assert not any(
                 contains(c, vsub(h, q)) and vsub(h, q) != (0, 0) for q in box
             )
+
+
+def rotations(c):
+    """c and its images under the quarter turns, one per quadrant pattern."""
+    out = [c]
+    for _ in range(3):
+        c = Cone2(*(rot_ccw(r) for r in (c.ray1, c.ray2)))
+        out.append(c)
+    return out
+
+
+def test_hilbert_basis_complete_on_random_cones():
+    # the irreducible nonzero lattice points of the fundamental
+    # parallelogram {0 <= alpha, beta <= d}, found by brute force
+    rng = random.Random(43)
+    for _ in range(10):
+        for c in rotations(random_cone(rng)):
+            d = multiplicity(c)
+            corners = [(0, 0), c.ray1, c.ray2, vadd(c.ray1, c.ray2)]
+            xs, ys = [p[0] for p in corners], [p[1] for p in corners]
+            pts = [
+                (x, y)
+                for x in range(min(xs), max(xs) + 1)
+                for y in range(min(ys), max(ys) + 1)
+                if (x, y) != (0, 0)
+                and 0 <= cross((x, y), c.ray2) <= d
+                and 0 <= cross(c.ray1, (x, y)) <= d
+            ]
+            irreducible = {
+                p for p in pts
+                if not any(q != p and contains(c, vsub(p, q)) for q in pts)
+            }
+            assert hilbert_basis(c) == irreducible
+
+
+def test_hilbert_basis_of_a_huge_cyclic_cone():
+    # the dual of cone((0,1),(d,1-d)); a bounding-box scan of the
+    # parallelogram would take hours here, the staircase walk is linear in d
+    d = 10 ** 5
+    c = dual_cone(Cone2((0, 1), (d, 1 - d)))
+    assert hilbert_basis(c) == {(1, 0), (1, 1), (d - 1, d)}
+
+
+def alpha_beta(c, p):
+    return cross(p, c.ray2), cross(c.ray1, p)
+
+
+def test_minimal_points_are_the_minimal_points_of_the_region():
+    rng = random.Random(47)
+    box = range(-12, 13)
+    for _ in range(24):
+        c = random_cone(rng)
+        # a corner near the origin, so the region meets the box
+        lo1, lo2 = alpha_beta(c, (rng.randint(-6, 6), rng.randint(-6, 6)))
+        lo1 -= rng.randint(0, multiplicity(c))
+        mins = minimal_points(c, lo1, lo2)
+        assert mins
+        for m in mins:
+            a, b = alpha_beta(c, m)
+            assert a >= lo1 and b >= lo2
+            assert not any(q != m and contains(c, vsub(m, q)) for q in mins)
+        for p in ((x, y) for x in box for y in box):
+            a, b = alpha_beta(c, p)
+            if a >= lo1 and b >= lo2:
+                assert any(contains(c, vsub(p, m)) for m in mins)
+
+
+def test_minimal_points_of_a_regular_cone_is_one_point():
+    for c in rotations(Cone2((1, 0), (3, 1))):
+        assert multiplicity(c) == 1
+        assert minimal_points(c, 0, 0) == {(0, 0)}
+        assert minimal_points(c, 2, -3) == {vadd(vscale(2, c.ray1), vscale(-3, c.ray2))}
+
+
+def test_minimal_points_translate_with_the_offsets():
+    rng = random.Random(53)
+    for _ in range(40):
+        c = random_cone(rng)
+        u = (rng.randint(-9, 9), rng.randint(-9, 9))
+        du1, du2 = alpha_beta(c, u)
+        assert minimal_points(c, du1, du2) == {u}
+        lo1, lo2 = rng.randint(-5, 5), rng.randint(-5, 5)
+        assert minimal_points(c, lo1 + du1, lo2 + du2) == {
+            vadd(m, u) for m in minimal_points(c, lo1, lo2)
+        }
+        assert minimal_points(c, 1 + du1, du2) == {
+            vadd(m, u) for m in hilbert_basis(c) - {c.ray2}
+        }
 
 
 def test_multiplicity_examples():

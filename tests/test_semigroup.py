@@ -1,26 +1,39 @@
 import random
+from itertools import product
+from math import gcd
 
 import pytest
 
-from nashfan.lattice import vadd, vdot, vsub
-from nashfan.semigroup import divides, is_member, min_common_multiples
+from nashfan.lattice import Cone2, vadd, vdot, vsub
+from nashfan.semigroup import AffineSemigroup, divides, is_member, min_common_multiples
 
 from enumeration import InvalidWeight, enumerate_below
 
 
 def mcm_oracle(sg, a, b):
-    """All divisibility-minimal common multiples with bounded coordinate sum."""
-    bound = 4 * sum(vadd(a, b)) + 32
-    common = [
-        (x, y)
-        for x in range(0, bound + 1)
-        for y in range(0, bound + 1 - x)
-        if divides(sg, a, (x, y)) and divides(sg, b, (x, y))
-    ]
-    return {
-        m for m in common
-        if not any(m2 != m and divides(sg, m2, m) for m2 in common)
-    }
+    """Divisibility-minimal common multiples, by a scan of a symmetric box.
+
+    The box reaches past a and b by twice the rays of σ^∨.  A weight inside
+    σ puts every proper divisor first, so a common multiple is minimal iff
+    no minimal one found before it divides it.
+    """
+    r1, r2 = sg.dual_cone.ray1, sg.dual_cone.ray2
+    bound = max(map(abs, a + b)) + 2 * (max(map(abs, r1)) + max(map(abs, r2)))
+    w = vadd(sg.support_cone.ray1, sg.support_cone.ray2)
+    common = sorted(
+        (
+            (x, y)
+            for x in range(-bound, bound + 1)
+            for y in range(-bound, bound + 1)
+            if divides(sg, a, (x, y)) and divides(sg, b, (x, y))
+        ),
+        key=lambda m: vdot(w, m),
+    )
+    minimal = []
+    for m in common:
+        if not any(divides(sg, q, m) for q in minimal):
+            minimal.append(m)
+    return set(minimal)
 
 
 def random_member(sg, rng, span=5):
@@ -76,6 +89,22 @@ def test_min_common_multiples_agrees_with_oracle(a3):
     for _ in range(200):
         a, b = random_member(sg, rng, 3), random_member(sg, rng, 3)
         assert min_common_multiples(sg, a, b) == mcm_oracle(sg, a, b)
+
+
+def test_min_common_multiples_agrees_with_oracle_on_other_cones():
+    # every cyclic quotient cone with d <= 12, and GL2(Z) images whose
+    # duals leave the first quadrant
+    supports = [
+        Cone2((0, 1), (d, -k)) for d in range(2, 13) for k in range(1, d) if gcd(d, k) == 1
+    ]
+    supports += [Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3)), Cone2((-1, -1), (3, -2))]
+    rng = random.Random(59)
+    for support in supports:
+        sg = AffineSemigroup.from_support_cone(support)
+        members = [p for p in product(range(-6, 7), repeat=2) if is_member(sg, p)]
+        for _ in range(5):
+            a, b = rng.choice(members), rng.choice(members)
+            assert min_common_multiples(sg, a, b) == mcm_oracle(sg, a, b)
 
 
 def test_min_common_multiples_are_incomparable_multiples(a3):
