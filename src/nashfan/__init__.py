@@ -52,6 +52,7 @@ from .nash import (
     a3_ordering,
     a3_semigroup,
     dn_set,
+    jn_bases,
     jn_generators,
     l_vector,
     nash_fan,

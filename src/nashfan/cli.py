@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 
 import click
 
 from .fan import fan_to_json, groebner_fan
-from .groebner import buchberger
 from .lattice import Cone2, multiplicity
-from .nash import a3_ordering, a3_semigroup, jn_generators, nash_fan, verify_paper
+from .nash import a3_ordering, a3_semigroup, jn_bases, jn_generators, nash_fan, verify_paper
 from .render import fan_figure, pn_dn_figure
 
 
@@ -61,7 +61,7 @@ def engine_errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return wrapper
@@ -79,8 +79,10 @@ def main():
 @engine_errors
 def gb(n, fmt, out):
     """Reduced Groebner basis of J_n in the A3 semigroup ring."""
+    if n < 1:
+        raise ValueError("n must be positive")
     sg = a3_semigroup()
-    basis = buchberger(jn_generators(sg, n), a3_ordering(sg))
+    basis = next(itertools.islice(jn_bases(sg, a3_ordering(sg)), n - 1, None))
     if fmt == "json":
         _write(json.dumps(basis.to_json(), indent=2), out)
     else:

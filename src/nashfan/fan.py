@@ -52,7 +52,11 @@ def groebner_fan(ideal: Ideal, sg: AffineSemigroup, max_cones: int = 10 ** 4) ->
     Each step computes the basis at the current frontier ray with the
     tie-break row pointing in the direction of continued rotation, which
     selects the cone on the far side of the frontier without epsilon
-    arithmetic.
+    arithmetic.  Only the first cone starts from the ideal's generators;
+    each later one starts from its neighbour's reduced basis, which shares
+    the frontier ray, the first row of the new ordering.  Reuse a basis
+    only at the neighbouring cone: fed to a far ordering, it can make
+    Buchberger's coefficients blow up.
     """
     support = sg.support_cone
     interior = vadd(support.ray1, support.ray2)
@@ -61,7 +65,8 @@ def groebner_fan(ideal: Ideal, sg: AffineSemigroup, max_cones: int = 10 ** 4) ->
     while True:
         rotation = interior if not cones else rot_ccw(frontier)
         ord = MatrixOrdering((frontier, rotation), sg)
-        gc = cone_of_basis(buchberger(ideal, ord), support)
+        seed = ideal if not cones else Ideal(g for g, _ in cones[-1].basis.elements)
+        gc = cone_of_basis(buchberger(seed, ord), support)
         if gc.cone.ray1 != frontier:
             raise SweepStalled(f"cone {gc.cone} does not start at frontier ray {frontier}")
         if cones and cross(cones[-1].cone.ray2, gc.cone.ray2) <= 0:

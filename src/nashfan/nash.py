@@ -39,6 +39,23 @@ def jn_generators(sg: AffineSemigroup, n: int) -> Ideal:
     return Ideal(gens)
 
 
+def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
+    """GB(J_1), GB(J_2), ... under one fixed ordering, each from the one before.
+
+    J_n = J_(n-1) * I, so the products g * (x^a - 1) of the reduced basis of
+    J_(n-1) with the binomials generate J_n (the binomials themselves stand
+    in for GB(J_0) = I).  Reuse a basis only under the ordering that made
+    it: fed to a far ordering, these short generators can make Buchberger's
+    coefficients blow up.
+    """
+    binomials = [Poly.monomial(sg, a) - 1 for a in sg.generators]
+    gens = binomials
+    while True:
+        basis = buchberger(Ideal(g * b for g in gens for b in binomials), ord)
+        yield basis
+        gens = [g for g, _ in basis.elements]
+
+
 # ---------------------------------------------------------------------------
 # the combinatorial families
 
@@ -217,8 +234,7 @@ def verify_paper(n_max: int) -> VerificationReport:
     uv_minus_1 = Poly.monomial(sg, (1, 1)) - 1
     claims = []
     prev_basis = None
-    for n in range(1, n_max + 1):
-        basis = buchberger(jn_generators(sg, n), ordering)
+    for n, basis in zip(range(1, n_max + 1), jn_bases(sg, ordering)):
         fam = pn_family(n)
         by_mark = {m: g for g, m in basis.elements}
 

@@ -1,7 +1,6 @@
 import pytest
 
-from nashfan.groebner import buchberger
-from nashfan.nash import a3_ordering, a3_semigroup, jn_generators
+from nashfan.nash import a3_ordering, a3_semigroup, jn_bases
 
 
 @pytest.fixture(scope="session")
@@ -12,13 +11,14 @@ def a3():
 
 @pytest.fixture(scope="session")
 def jn_basis(a3):
-    """Memoized reduced bases of J_n; shared so J_8 is computed once."""
+    """Memoized reduced bases of J_n, each built from J_(n-1) under a3_ordering."""
     sg, ordering = a3
-    cache = {}
+    tower = jn_bases(sg, ordering)
+    cache = []
 
     def get(n):
-        if n not in cache:
-            cache[n] = buchberger(jn_generators(sg, n), ordering)
-        return cache[n]
+        while len(cache) < n:
+            cache.append(next(tower))
+        return cache[n - 1]
 
     return get

@@ -72,6 +72,27 @@ def test_nash_usage_and_engine_errors():
     assert run("gb").exit_code == 2
 
 
+def test_out_into_missing_directory(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    result = run("gb", "--n", "1", "--format", "json", "--out", str(out))
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+    assert not out.exists()
+
+
+def test_nonpositive_n_is_a_usage_error(tmp_path):
+    for args in (
+        ("gb", "--n", "0"),
+        ("fan", "--n", "0"),
+        ("verify", "--n-max", "0"),
+        ("figures", "--n", "0", "--out", str(tmp_path / "f.svg")),
+        ("nash", "--cone", "0,1,4,-3", "--n", "0"),
+    ):
+        result = run(*args)
+        assert result.exit_code == 2, args
+        assert "must be positive" in result.output, args
+
+
 def test_verify_small():
     result = run("verify", "--n-max", "1", "--format", "json")
     assert result.exit_code == 0

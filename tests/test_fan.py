@@ -4,7 +4,10 @@ from nashfan.algebra import Poly, initial_form, weight_refine
 from nashfan.fan import cone_of_basis, fan_of_cones, fan_to_json, groebner_fan
 from nashfan.groebner import buchberger
 from nashfan.lattice import Cone2, multiplicity, validate_fan, vadd, vdot, vsub
-from nashfan.nash import jn_generators, l_vector
+from nashfan.nash import a3_semigroup, jn_generators, l_vector
+from nashfan.semigroup import AffineSemigroup
+
+from test_nash import cyclic_cones
 
 
 def random_interior_weight(cone, rng, span=6):
@@ -116,3 +119,16 @@ def test_fan_json_shape(a3):
     for entry, gc in zip(data["cones"], cones):
         assert entry["multiplicity"] == multiplicity(gc.cone)
         assert entry["rays"] == [list(gc.cone.ray1), list(gc.cone.ray2)]
+
+
+def test_seeded_sweep_matches_unseeded_buchberger():
+    """Each cone's basis, seeded from its neighbour, against the product generators."""
+    cases = [(c, 2) for c in cyclic_cones(7)]
+    cases += [(a3_semigroup().support_cone, n) for n in (1, 2, 3)]
+    # the dual of this cone leaves the first quadrant
+    cases += [(Cone2((1, 0), (1, 2)), n) for n in (1, 2)]
+    for c, n in cases:
+        sg = AffineSemigroup.from_support_cone(c)
+        ideal = jn_generators(sg, n)
+        for gc in groebner_fan(ideal, sg):
+            assert gc.basis == buchberger(ideal, gc.basis.ordering), (c, n, gc.cone)

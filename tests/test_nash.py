@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from nashfan.algebra import ContextMismatch, Poly
+from nashfan.algebra import ContextMismatch, MatrixOrdering, Poly
 from nashfan.groebner import buchberger, normal_form, Ideal
 from nashfan.lattice import Cone2, contains, cross, primitive, validate_fan, vadd, vdot, vsub
 from nashfan.nash import (
     a3_ordering,
     a3_semigroup,
     dn_set,
+    jn_bases,
     jn_generators,
     l_vector,
     laurent_gcd,
@@ -42,6 +43,19 @@ def test_jn_generators_examples(a3, jn_basis):
     assert buchberger(ideal, ordering).elements == jn_basis(1).elements
     with pytest.raises(ValueError):
         jn_generators(sg, 0)
+
+
+def test_jn_bases_match_product_generators(a3):
+    """The tower J_n = J_(n-1) * I against the product generators of I^(n+1)."""
+    sg, ordering = a3
+    for n, basis in zip(range(1, 7), jn_bases(sg, ordering)):
+        assert basis == buchberger(jn_generators(sg, n), ordering), n
+    # the dual of cone((1,0),(1,2)) leaves the first quadrant
+    for c in (Cone2((0, 1), (5, -2)), Cone2((1, 0), (1, 2))):
+        sg = AffineSemigroup.from_support_cone(c)
+        ordering = MatrixOrdering((vadd(c.ray1, c.ray2), c.ray1), sg)
+        for n, basis in zip(range(1, 4), jn_bases(sg, ordering)):
+            assert basis == buchberger(jn_generators(sg, n), ordering), (c, n)
 
 
 def test_pn_family_n1():
