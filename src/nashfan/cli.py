@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 
 import click
 
-from .fan import fan_to_json, groebner_fan
+from .fan import fan_to_json, groebner_fan, sweep_start
 from .lattice import Cone2, multiplicity
-from .nash import a3_ordering, a3_semigroup, jn_bases, jn_generators, nash_fan, verify_paper
+from .nash import a3_ordering, a3_semigroup, jn_basis_at, nash_fan, verify_paper
 from .render import fan_figure, pn_dn_figure
 
 
@@ -79,10 +78,8 @@ def main():
 @engine_errors
 def gb(n, fmt, out):
     """Reduced Groebner basis of J_n in the A3 semigroup ring."""
-    if n < 1:
-        raise ValueError("n must be positive")
     sg = a3_semigroup()
-    basis = next(itertools.islice(jn_bases(sg, a3_ordering(sg)), n - 1, None))
+    basis = jn_basis_at(sg, a3_ordering(sg), n)
     if fmt == "json":
         _write(json.dumps(basis.to_json(), indent=2), out)
     else:
@@ -98,11 +95,11 @@ def gb(n, fmt, out):
 def fan(n, fmt, out):
     """Groebner fan of J_n in the A3 semigroup ring."""
     sg = a3_semigroup()
-    cones = groebner_fan(jn_generators(sg, n), sg)
+    cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), n))
     if fmt == "json":
-        _write(json.dumps(fan_to_json(cones, sg.support_cone), indent=2), out)
+        _write(json.dumps(fan_to_json(cones), indent=2), out)
     elif fmt == "svg":
-        _write(fan_figure(cones, sg.support_cone), out)
+        _write(fan_figure(cones), out)
     else:
         lines = [
             f"cone {gc.cone.ray1} {gc.cone.ray2}  multiplicity {multiplicity(gc.cone)}"

@@ -10,7 +10,6 @@ from .lattice import (
     Cone2,
     Fan2,
     cone_from_inequalities,
-    cross,
     multiplicity,
     rot_ccw,
     vadd,
@@ -35,56 +34,58 @@ class GroebnerCone:
         return data
 
 
-def cone_of_basis(basis: MarkedBasis, support: Cone2) -> GroebnerCone:
-    """The cone of weights keeping every mark on top of its polynomial."""
+def cone_of_basis(basis: MarkedBasis) -> GroebnerCone:
+    """The cone of weights in sigma keeping every mark on top of its polynomial."""
     normals = [
         vsub(mark, e)
         for g, mark in basis.elements
         for e in g.support()
         if e != mark
     ]
-    return GroebnerCone(cone_from_inequalities(normals, support), basis)
+    return GroebnerCone(cone_from_inequalities(normals, basis.sg.support_cone), basis)
 
 
-def groebner_fan(ideal: Ideal, sg: AffineSemigroup, max_cones: int = 10 ** 4) -> list:
+def sweep_start(sg: AffineSemigroup) -> MatrixOrdering:
+    """The ordering of the sweep's first cone: sigma's first ray, tie-broken inward."""
+    support = sg.support_cone
+    return MatrixOrdering((support.ray1, vadd(support.ray1, support.ray2)), sg)
+
+
+def groebner_fan(first: MarkedBasis) -> list:
     """All maximal Groebner-fan cones, swept across sigma in angular order.
 
-    Each step computes the basis at the current frontier ray with the
-    tie-break row pointing in the direction of continued rotation, which
-    selects the cone on the far side of the frontier without epsilon
-    arithmetic.  Only the first cone starts from the ideal's generators;
-    each later one starts from its neighbour's reduced basis, which shares
-    the frontier ray, the first row of the new ordering.  Reuse a basis
-    only at the neighbouring cone: fed to a far ordering, it can make
-    Buchberger's coefficients blow up.
+    `first` is the reduced basis under sweep_start(sg).  Each later cone runs
+    Buchberger on its neighbour's basis, with the shared frontier ray as the
+    first row and a tie-break row pointing on in the rotation, which selects
+    the far side of the frontier without epsilon arithmetic.  Reuse a basis
+    only there: under a far ordering its coefficients can blow up.
     """
-    support = sg.support_cone
-    interior = vadd(support.ray1, support.ray2)
+    sg = first.sg
+    if first.ordering != sweep_start(sg):
+        raise ValueError("the sweep starts from the reduced basis under sweep_start(sg)")
     cones = []
-    frontier = support.ray1
+    basis = first
+    frontier = sg.support_cone.ray1
     while True:
-        rotation = interior if not cones else rot_ccw(frontier)
-        ord = MatrixOrdering((frontier, rotation), sg)
-        seed = ideal if not cones else Ideal(g for g, _ in cones[-1].basis.elements)
-        gc = cone_of_basis(buchberger(seed, ord), support)
+        gc = cone_of_basis(basis)
         if gc.cone.ray1 != frontier:
             raise SweepStalled(f"cone {gc.cone} does not start at frontier ray {frontier}")
-        if cones and cross(cones[-1].cone.ray2, gc.cone.ray2) <= 0:
-            raise SweepStalled(f"far ray did not advance past {frontier}")
         cones.append(gc)
         frontier = gc.cone.ray2
-        if frontier == support.ray2:
+        if frontier == sg.support_cone.ray2:
             return cones
-        if len(cones) >= max_cones:
-            raise SweepStalled(f"more than {max_cones} cones; sweep is not terminating")
+        if len(cones) >= 10 ** 4:
+            raise SweepStalled("more than 10000 cones; sweep is not terminating")
+        ord = MatrixOrdering((frontier, rot_ccw(frontier)), sg)
+        basis = buchberger(Ideal(g for g, _ in basis.elements), ord)
 
 
-def fan_of_cones(cones: list, support: Cone2) -> Fan2:
-    return Fan2(tuple(gc.cone for gc in cones), support)
+def fan_of_cones(cones: list) -> Fan2:
+    return Fan2(tuple(gc.cone for gc in cones), cones[0].basis.sg.support_cone)
 
 
-def fan_to_json(cones: list, support: Cone2) -> dict:
+def fan_to_json(cones: list) -> dict:
     return {
-        "support": support.to_json(),
+        "support": cones[0].basis.sg.support_cone.to_json(),
         "cones": [gc.to_json() for gc in cones],
     }

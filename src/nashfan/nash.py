@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ContextMismatch, MatrixOrdering, Poly
-from .fan import cone_of_basis, fan_of_cones, groebner_fan
+from .fan import cone_of_basis, fan_of_cones, groebner_fan, sweep_start
 from .groebner import Ideal, buchberger, ideal_membership, standard_monomials
 from .lattice import Cone2, Vec, multiplicity, vadd, vdot, vscale, vsub
 from .semigroup import AffineSemigroup, divides
@@ -54,6 +54,13 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
         basis = buchberger(Ideal(g * b for g in gens for b in binomials), ord)
         yield basis
         gens = [g for g, _ in basis.elements]
+
+
+def jn_basis_at(sg: AffineSemigroup, ord: MatrixOrdering, n: int):
+    """GB(J_n) under the ordering: the n-th basis of the jn_bases tower."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return next(itertools.islice(jn_bases(sg, ord), n - 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +259,7 @@ def verify_paper(n_max: int) -> VerificationReport:
             std_ok, "" if std_ok else f"standard={sorted(std)}",
         ))
 
-        gc = cone_of_basis(basis, sg.support_cone)
+        gc = cone_of_basis(basis)
         expected_cone = Cone2((2, -1), l_vector(n))
         cone_ok = gc.cone == expected_cone
         claims.append(ClaimResult(
@@ -309,6 +316,6 @@ def verify_paper(n_max: int) -> VerificationReport:
 def nash_fan(surface_cone: Cone2, n: int):
     """Fan of the normalized n-th Nash blowup with per-cone multiplicities."""
     sg = AffineSemigroup.from_support_cone(surface_cone)
-    cones = groebner_fan(jn_generators(sg, n), sg)
+    cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), n))
     mults = [multiplicity(gc.cone) for gc in cones]
-    return fan_of_cones(cones, sg.support_cone), mults, any(m > 1 for m in mults)
+    return fan_of_cones(cones), mults, any(m > 1 for m in mults)

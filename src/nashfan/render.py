@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import Cone2, multiplicity, vadd
+from .lattice import multiplicity, vadd
 from .nash import dn_set, pn_family
 
 UNIT = 40
@@ -83,9 +83,9 @@ def pn_dn_figure(n: int) -> str:
     return _svg_document(width, height, body)
 
 
-def fan_figure(cones, support: Cone2) -> str:
+def fan_figure(cones) -> str:
     """The fan inside its support cone, rays drawn to a fixed radius."""
-    rays = [support.ray1] + [gc.cone.ray2 for gc in cones]
+    rays = [cones[0].cone.ray1] + [gc.cone.ray2 for gc in cones]
     radius = 6  # lattice units
     width = height = 2 * (radius + 2 * MARGIN)
     cx, cy = (width // 2, height // 2)

@@ -2,6 +2,8 @@ import json
 
 from click.testing import CliRunner
 
+import nashfan.cli
+import nashfan.nash
 from nashfan.cli import main
 from nashfan.groebner import MarkedBasis
 from nashfan.nash import a3_ordering
@@ -91,6 +93,25 @@ def test_nonpositive_n_is_a_usage_error(tmp_path):
         result = run(*args)
         assert result.exit_code == 2, args
         assert "must be positive" in result.output, args
+
+
+def test_fan_and_nash_never_expand_products(monkeypatch):
+    """Both commands build J_n on the jn_bases tower, not from jn_generators."""
+    commands = (
+        ("nash", "--cone", "0,1,7,-3", "--n", "2", "--format", "json"),
+        ("fan", "--n", "2", "--format", "json"),
+    )
+    expected = [run(*args).output for args in commands]
+
+    def products(*args):
+        raise AssertionError("jn_generators called")
+
+    monkeypatch.setattr(nashfan.nash, "jn_generators", products)
+    monkeypatch.setattr(nashfan.cli, "jn_generators", products, raising=False)
+    for args, want in zip(commands, expected):
+        result = run(*args)
+        assert result.exit_code == 0, (args, result.output)
+        assert result.output == want
 
 
 def test_verify_small():

@@ -1,10 +1,12 @@
 import random
 
+import pytest
+
 from nashfan.algebra import Poly, initial_form, weight_refine
-from nashfan.fan import cone_of_basis, fan_of_cones, fan_to_json, groebner_fan
-from nashfan.groebner import buchberger
+from nashfan.fan import cone_of_basis, fan_of_cones, fan_to_json, groebner_fan, sweep_start
+from nashfan.groebner import buchberger, standard_monomials
 from nashfan.lattice import Cone2, multiplicity, validate_fan, vadd, vdot, vsub
-from nashfan.nash import a3_semigroup, jn_generators, l_vector
+from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 from nashfan.semigroup import AffineSemigroup
 
 from test_nash import cyclic_cones
@@ -20,16 +22,16 @@ def random_interior_weight(cone, rng, span=6):
 
 def test_cone_of_basis_examples(a3, jn_basis):
     sg, _ = a3
-    assert cone_of_basis(jn_basis(1), sg.support_cone).cone == Cone2((0, 1), (2, -1))
-    assert cone_of_basis(jn_basis(2), sg.support_cone).cone == Cone2((2, -1), (4, -1))
+    assert cone_of_basis(jn_basis(1)).cone == Cone2((0, 1), (2, -1))
+    assert cone_of_basis(jn_basis(2)).cone == Cone2((2, -1), (4, -1))
     for n in range(1, 9):
-        gc = cone_of_basis(jn_basis(n), sg.support_cone)
+        gc = cone_of_basis(jn_basis(n))
         assert gc.cone == Cone2((2, -1), l_vector(n))
 
 
 def test_interior_weight_examples(a3, jn_basis):
     sg, _ = a3
-    gc1 = cone_of_basis(jn_basis(1), sg.support_cone)
+    gc1 = cone_of_basis(jn_basis(1))
     assert vadd(gc1.cone.ray1, gc1.cone.ray2) == (2, 0)
     # strict inequalities against every mark difference of the basis
     w = vadd(gc1.cone.ray1, gc1.cone.ray2)
@@ -54,7 +56,7 @@ def test_basis_at_weight_examples(a3, jn_basis):
     # any base ordering at an interior weight gives the same marked basis
     from nashfan.algebra import MatrixOrdering
     other = MatrixOrdering(((0, 1), (4, -3)), sg)
-    gc = cone_of_basis(jn_basis(1), sg.support_cone)
+    gc = cone_of_basis(jn_basis(1))
     w = vadd(gc.cone.ray1, gc.cone.ray2)
     assert buchberger(ideal, weight_refine(other, w)).elements == jn_basis(1).elements
     assert buchberger(ideal, weight_refine(ordering, (0, 0))).elements == jn_basis(1).elements
@@ -62,29 +64,29 @@ def test_basis_at_weight_examples(a3, jn_basis):
 
 def test_groebner_fan_j1(a3, jn_basis):
     sg, _ = a3
-    cones = groebner_fan(jn_generators(sg, 1), sg)
-    fan = fan_of_cones(cones, sg.support_cone)
+    cones = groebner_fan(buchberger(jn_generators(sg, 1), sweep_start(sg)))
+    fan = fan_of_cones(cones)
     assert validate_fan(fan)
     assert Cone2((0, 1), (2, -1)) in {gc.cone for gc in cones}
     for gc in cones:
-        assert cone_of_basis(gc.basis, sg.support_cone).cone == gc.cone
+        assert cone_of_basis(gc.basis).cone == gc.cone
     assert any(multiplicity(gc.cone) == 2 for gc in cones)
 
 
 def test_groebner_fan_j2(a3):
     sg, _ = a3
-    cones = groebner_fan(jn_generators(sg, 2), sg)
-    assert validate_fan(fan_of_cones(cones, sg.support_cone))
+    cones = groebner_fan(buchberger(jn_generators(sg, 2), sweep_start(sg)))
+    assert validate_fan(fan_of_cones(cones))
     assert Cone2((2, -1), (4, -1)) in {gc.cone for gc in cones}
     for gc in cones:
-        assert cone_of_basis(gc.basis, sg.support_cone).cone == gc.cone
+        assert cone_of_basis(gc.basis).cone == gc.cone
     assert any(multiplicity(gc.cone) == 2 for gc in cones)
 
 
 def test_fan_bases_are_distinct_per_cone(a3):
     sg, _ = a3
     for n in (1, 2):
-        cones = groebner_fan(jn_generators(sg, n), sg)
+        cones = groebner_fan(buchberger(jn_generators(sg, n), sweep_start(sg)))
         bases = {gc.basis.elements for gc in cones}
         assert len(bases) == len(cones)
 
@@ -94,7 +96,7 @@ def test_basis_stable_across_interior_weights(a3):
     rng = random.Random(79)
     for n in (1, 2):
         ideal = jn_generators(sg, n)
-        for gc in groebner_fan(ideal, sg):
+        for gc in groebner_fan(buchberger(ideal, sweep_start(sg))):
             for _ in range(5):
                 w = random_interior_weight(gc.cone, rng)
                 assert buchberger(ideal, weight_refine(ordering, w)).elements == gc.basis.elements
@@ -103,7 +105,7 @@ def test_basis_stable_across_interior_weights(a3):
 def test_initial_form_at_interior_weight_is_the_mark(a3):
     sg, _ = a3
     rng = random.Random(83)
-    for gc in groebner_fan(jn_generators(sg, 1), sg):
+    for gc in groebner_fan(buchberger(jn_generators(sg, 1), sweep_start(sg))):
         for _ in range(5):
             w = random_interior_weight(gc.cone, rng)
             for g, mark in gc.basis.elements:
@@ -112,8 +114,8 @@ def test_initial_form_at_interior_weight_is_the_mark(a3):
 
 def test_fan_json_shape(a3):
     sg, _ = a3
-    cones = groebner_fan(jn_generators(sg, 1), sg)
-    data = fan_to_json(cones, sg.support_cone)
+    cones = groebner_fan(buchberger(jn_generators(sg, 1), sweep_start(sg)))
+    data = fan_to_json(cones)
     assert data["support"] == sg.support_cone.to_json()
     assert len(data["cones"]) == len(cones)
     for entry, gc in zip(data["cones"], cones):
@@ -121,14 +123,39 @@ def test_fan_json_shape(a3):
         assert entry["rays"] == [list(gc.cone.ray1), list(gc.cone.ray2)]
 
 
+def test_groebner_fan_refuses_a_basis_under_another_ordering(jn_basis):
+    # GB(J_1) of A3 under a3_ordering is a reduced basis, but not the
+    # sweep's first cone
+    with pytest.raises(ValueError):
+        groebner_fan(jn_basis(1))
+
+
 def test_seeded_sweep_matches_unseeded_buchberger():
-    """Each cone's basis, seeded from its neighbour, against the product generators."""
+    """Each cone of the tower-started sweep against the product generators."""
     cases = [(c, 2) for c in cyclic_cones(7)]
     cases += [(a3_semigroup().support_cone, n) for n in (1, 2, 3)]
     # the dual of this cone leaves the first quadrant
     cases += [(Cone2((1, 0), (1, 2)), n) for n in (1, 2)]
+    # three tower steps under the boundary ordering sweep_start
+    cases += [(Cone2((0, 1), (7, -3)), 3), (Cone2((0, 1), (11, -4)), 3)]
     for c, n in cases:
         sg = AffineSemigroup.from_support_cone(c)
         ideal = jn_generators(sg, n)
-        for gc in groebner_fan(ideal, sg):
+        for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), n)):
             assert gc.basis == buchberger(ideal, gc.basis.ordering), (c, n, gc.cone)
+
+
+def test_every_fan_cone_has_the_colength_of_a_smooth_point():
+    """dim S/J_n = (n+1)(n+2)/2 on every cone of the sweep that nash_fan runs.
+
+    I = (x^a - 1) is the maximal ideal of the smooth point 1 of the torus,
+    so J_n = I^(n+1) has that colength under every ordering; the count does
+    not call buchberger.
+    """
+    cases = [(c, n) for c in cyclic_cones(7) for n in (1, 2)]
+    cases += [(a3_semigroup().support_cone, n) for n in (1, 2, 3, 4)]
+    cases += [(c, n) for c in (Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3))) for n in (1, 2)]
+    for c, n in cases:
+        sg = AffineSemigroup.from_support_cone(c)
+        for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), n)):
+            assert len(standard_monomials(gc.basis)) == (n + 1) * (n + 2) // 2, (c, n, gc.cone)
