@@ -21,15 +21,25 @@ class WeightOutsideSigma(ValueError):
     """Weight vector does not lie in the support cone."""
 
 
+def _demote(c):
+    """An integral Fraction as its int numerator; any other value unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class Poly:
-    """Finite map from semigroup monomials to nonzero exact rationals."""
+    """Finite map from semigroup monomials to nonzero exact rationals.
+
+    Each coefficient is an int where it is integral and a Fraction
+    otherwise; int == Fraction with equal hashes, so equality, hashing and
+    JSON do not depend on which type holds a value.
+    """
 
     __slots__ = ("sg", "terms")
 
     def __init__(self, sg: AffineSemigroup, terms=None):
         clean = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _demote(Fraction(c))
             if c == 0:
                 continue
             if not is_member(sg, e):
@@ -43,7 +53,7 @@ class Poly:
         # internal constructor: exponents already known to be members
         p = object.__new__(cls)
         p.sg = sg
-        p.terms = {e: c for e, c in terms.items() if c != 0}
+        p.terms = {e: _demote(c) for e, c in terms.items() if c}
         return p
 
     @classmethod
@@ -52,7 +62,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, sg, exp: Vec, coeff=1) -> "Poly":
-        return cls(sg, {exp: Fraction(coeff)})
+        return cls(sg, {exp: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -61,8 +71,8 @@ class Poly:
     def support(self) -> set:
         return set(self.terms)
 
-    def coeff(self, exp: Vec) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
+    def coeff(self, exp: Vec) -> int | Fraction:
+        return self.terms.get(exp, 0)
 
     def _check(self, other):
         if self.sg != other.sg:
@@ -85,14 +95,12 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Poly._make(self.sg, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -100,14 +108,13 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Poly._make(self.sg, {e: c * v for e, v in self.terms.items()})
+            return Poly._make(self.sg, {e: other * v for e, v in self.terms.items()})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = vadd(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly._make(self.sg, out)
 
     __rmul__ = __mul__

@@ -52,7 +52,10 @@ def _write(text: str, out) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        # without file=, click caches the stream it resolves in a
+        # WeakKeyDictionary whose value is its key: a CliRunner's capture
+        # buffer would then never be freed
+        click.echo(text, nl=not text.endswith("\n"), file=sys.stdout)
 
 
 def engine_errors(f):
@@ -61,7 +64,7 @@ def engine_errors(f):
         try:
             return f(*args, **kwargs)
         except (ValueError, RuntimeError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
     return wrapper
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
 from .lattice import vsub
@@ -97,11 +98,21 @@ def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
     using the divisor with the smallest mark.  Every monomial introduced
     by a reduction step sits strictly below the reduced one, so a single
     descending heap pass visits each monomial once.
+
+    x^m divides x^e exactly when α(e) >= α(m) and β(e) >= β(m), in the
+    coordinates α = cross(·, ray2), β = cross(ray1, ·) of the exponent cone
+    (see ``lattice.minimal_points``).  The divisors are scanned in
+    increasing mark order, so the first one that divides is the smallest.
     """
-    sg = ord.sg
+    (x1, y1), (x2, y2) = ord.sg.dual_cone.ray1, ord.sg.dual_cone.ray2
+    neg_rows = [(-r0, -r1) for r0, r1 in ord.rows]
+    divisors = sorted(
+        ((m[0] * y2 - m[1] * x2, x1 * m[1] - y1 * m[0], m, g) for g, m in pairs),
+        key=lambda d: ord.key(d[2]),
+    )
     terms = dict(f.terms)
     out = {}
-    heap = [(tuple(-x for x in ord.key(e)), e) for e in terms]
+    heap = [(tuple([r0 * e[0] + r1 * e[1] for r0, r1 in neg_rows]), e) for e in terms]
     heapq.heapify(heap)
     pending = set(terms)
     while heap:
@@ -110,21 +121,24 @@ def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
         c = terms.get(e)
         if not c:
             continue
-        divisors = [(g, m) for g, m in pairs if divides(sg, m, e)]
-        if not divisors:
+        a, b = e[0] * y2 - e[1] * x2, x1 * e[1] - y1 * e[0]
+        for am, bm, m, g in divisors:
+            if a >= am and b >= bm:
+                break
+        else:
             out[e] = c
             del terms[e]
             continue
-        g, m = min(divisors, key=lambda gm: ord.key(gm[1]))
-        shift = vsub(e, m)
-        for e2, c2 in g.terms.items():
-            e3 = (e2[0] + shift[0], e2[1] + shift[1])
+        s0, s1 = e[0] - m[0], e[1] - m[1]
+        for (u0, u1), c2 in g.terms.items():
+            e3 = (u0 + s0, u1 + s1)
             nc = terms.get(e3, 0) - c * c2
             if nc:
                 terms[e3] = nc
                 if e3 not in pending:
                     pending.add(e3)
-                    heapq.heappush(heap, (tuple(-x for x in ord.key(e3)), e3))
+                    key = tuple([r0 * e3[0] + r1 * e3[1] for r0, r1 in neg_rows])
+                    heapq.heappush(heap, (key, e3))
             else:
                 terms.pop(e3, None)
     return Poly._make(ord.sg, out)
@@ -157,7 +171,12 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
             return
         mr = leading_monomial(ord, r)
         j = len(basis)
-        basis.append((r * (1 / r.coeff(mr)), mr))
+        lc = r.coeff(mr)
+        if lc == -1:
+            r = -r
+        elif lc != 1:
+            r = r * Fraction(1, lc)
+        basis.append((r, mr))
         for i in range(j):
             for m in min_common_multiples(sg, basis[i][1], mr):
                 heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))

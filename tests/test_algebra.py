@@ -50,6 +50,21 @@ def test_poly_drops_zero_coefficients(a3):
     assert (p - p).is_zero
 
 
+def test_integral_coefficients_are_stored_as_int(a3):
+    sg, _ = a3
+    p = Poly(sg, {(1, 1): Fraction(4, 2), (1, 0): True, (0, 0): 0.5})
+    assert p.terms == {(1, 1): 2, (1, 0): 1, (0, 0): Fraction(1, 2)}
+    assert [type(p.terms[e]) for e in ((1, 1), (1, 0), (0, 0))] == [int, int, Fraction]
+    half = Poly.monomial(sg, (1, 0), Fraction(1, 2))
+    for q in (half * 2, half + half, half * 3 - half):
+        assert q.terms == {(1, 0): 1} and type(q.terms[(1, 0)]) is int
+    assert p.to_json()["terms"] == [
+        {"exp": [0, 0], "num": 1, "den": 2},
+        {"exp": [1, 0], "num": 1, "den": 1},
+        {"exp": [1, 1], "num": 2, "den": 1},
+    ]
+
+
 def test_product_example(a3):
     sg, _ = a3
     uv_minus_1 = Poly.monomial(sg, (1, 1)) - 1

@@ -1,6 +1,7 @@
+import gc
 import json
 
-from click.testing import CliRunner
+from click.testing import CliRunner, _NamedTextIOWrapper
 
 import nashfan.cli
 import nashfan.nash
@@ -143,3 +144,14 @@ def test_figures_deterministic(tmp_path):
     run("figures", "--n", "3", "--out", str(a))
     run("figures", "--n", "3", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_in_process_calls_free_their_captured_output():
+    """Echo without file= lets click cache each captured stream for good."""
+    runner = CliRunner()
+    for args, code in ((("gb", "--n", "1", "--format", "json"), 0), (("gb", "--n", "0"), 2)):
+        for _ in range(20):
+            assert runner.invoke(main, list(args)).exit_code == code
+        gc.collect()
+        alive = sum(isinstance(o, _NamedTextIOWrapper) for o in gc.get_objects())
+        assert alive <= 1, (args, alive)

@@ -1,4 +1,7 @@
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 from nashfan.semigroup import AffineSemigroup
 
 from test_nash import cyclic_cones
+
+GOLDEN_7_3 = Path(__file__).parent / "golden" / "cone_0_1_7_-3_fan_n2.json"
 
 
 def random_interior_weight(cone, rng, span=6):
@@ -152,10 +157,26 @@ def test_every_fan_cone_has_the_colength_of_a_smooth_point():
     so J_n = I^(n+1) has that colength under every ordering; the count does
     not call buchberger.
     """
-    cases = [(c, n) for c in cyclic_cones(7) for n in (1, 2)]
+    cases = [(c, n) for c in cyclic_cones(9) for n in (1, 2, 3)]
     cases += [(a3_semigroup().support_cone, n) for n in (1, 2, 3, 4)]
     cases += [(c, n) for c in (Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3))) for n in (1, 2)]
     for c, n in cases:
         sg = AffineSemigroup.from_support_cone(c)
         for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), n)):
             assert len(standard_monomials(gc.basis)) == (n + 1) * (n + 2) // 2, (c, n, gc.cone)
+
+
+def test_sweep_keeps_its_non_integer_coefficients():
+    """The fan of J_2 over cone((0,1),(7,-3)) ends with 18 non-integral coefficients.
+
+    The golden file holds fan_to_json of this sweep.  JSON writes each
+    coefficient as numerator and denominator, whichever type stores it.
+    """
+    sg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
+    assert fan_to_json(cones) == json.loads(GOLDEN_7_3.read_text())
+    coeffs = [c for gc in cones for g, _ in gc.basis.elements for c in g.terms.values()]
+    fractions = [c for c in coeffs if type(c) is Fraction]
+    assert len(fractions) == 18
+    assert all(c.denominator > 1 for c in fractions)
+    assert all(type(c) is int for c in coeffs if type(c) is not Fraction)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from nashfan.algebra import MatrixOrdering, Poly
+from nashfan import groebner
+from nashfan.algebra import MatrixOrdering, Poly, leading_monomial
 from nashfan.fan import cone_of_basis, groebner_fan, sweep_start
 from nashfan.groebner import (
     Ideal,
@@ -19,11 +20,12 @@ from nashfan.groebner import (
     s_polynomials,
     standard_monomials,
 )
-from nashfan.lattice import Cone2, contains, vadd
-from nashfan.nash import jn_generators
-from nashfan.semigroup import AffineSemigroup
+from nashfan.lattice import Cone2, contains, vadd, vsub
+from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
+from nashfan.semigroup import AffineSemigroup, divides, is_member
 
 from enumeration import enumerate_below
+from test_nash import cyclic_cones
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
 
@@ -78,6 +80,110 @@ def quotient_dim_oracle(sg, ideal, bound):
                     row[index[m]] = c
                 rows.append(row)
     return len(monos) - rank(rows)
+
+
+def reference_reduce(f, pairs, ord):
+    """Division remainder by monic (poly, mark) pairs, by the textbook loop.
+
+    Shares no divisibility code with the engine's kernel: the remainder's
+    largest reducible term is found with ``leading_monomial``, its divisors
+    with ``divides``, and the smallest mark with ``min(..., key=ord.key)``.
+    """
+    sg = ord.sg
+    r, out = f, Poly.zero(sg)
+    while not r.is_zero:
+        e = leading_monomial(ord, r)
+        term = Poly.monomial(sg, e, r.coeff(e))
+        divisors = [(g, m) for g, m in pairs if divides(sg, m, e)]
+        if divisors:
+            g, m = min(divisors, key=lambda gm: ord.key(gm[1]))
+            r = r - r.coeff(e) * g.shift(vsub(e, m))
+        else:
+            out, r = out + term, r - term
+    return out
+
+
+KERNEL_CONES = cyclic_cones(7) + [
+    a3_semigroup().support_cone,
+    Cone2((1, 0), (1, 2)),
+    Cone2((2, 1), (-1, 3)),
+]
+
+
+def kernel_orderings(sg):
+    """sweep_start(sg) and the ordering led by sigma's other ray."""
+    s = sg.support_cone
+    return sweep_start(sg), MatrixOrdering((s.ray2, vadd(s.ray1, s.ray2)), sg)
+
+
+def random_kernel_poly(sg, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = (0, 0)
+        for g in sg.generators:
+            k = rng.randint(0, 2)
+            e = (e[0] + k * g[0], e[1] + k * g[1])
+        num = rng.randint(-9, 9)
+        terms[e] = num if rng.random() < 0.5 else Fraction(num, rng.randint(1, 4))
+    return Poly(sg, terms)
+
+
+def test_kernel_divisibility_agrees_with_divides():
+    """x^q reduces x^p to zero iff divides(q, p), for all p, q in a box.
+
+    Divisibility is invariant under translation, so the box is moved by a
+    multiple of an interior point of the exponent cone until it lies in S.
+    """
+    box = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        ord = sweep_start(sg)
+        inner = vadd(sg.dual_cone.ray1, sg.dual_cone.ray2)
+        k = 0
+        while not all(is_member(sg, (p[0] + k * inner[0], p[1] + k * inner[1])) for p in box):
+            k += 1
+        mono = {p: Poly.monomial(sg, (p[0] + k * inner[0], p[1] + k * inner[1])) for p in box}
+        for p in box:
+            for q in box:
+                (mark,) = mono[q].terms
+                reduced = groebner._reduce(mono[p], [(mono[q], mark)], ord).is_zero
+                assert reduced == divides(sg, q, p), (c, p, q)
+
+
+def monic_products(sg, ord, n):
+    """The product generators of J_n, made monic under ord.
+
+    Not a Groebner basis: marks repeat and divide each other, so the
+    smallest-mark tie-break decides the remainder.
+    """
+    pairs = []
+    for g in jn_generators(sg, n).generators:
+        m = leading_monomial(ord, g)
+        pairs.append((g * Fraction(1, g.coeff(m)), m))
+    return pairs
+
+
+def test_reduce_matches_reference_division():
+    """_reduce by a non-Groebner divisor list; no basis is built with it."""
+    rng = random.Random(89)
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        for ord in kernel_orderings(sg):
+            pairs = monic_products(sg, ord, 2)
+            for _ in range(12):
+                f = random_kernel_poly(sg, rng)
+                assert groebner._reduce(f, pairs, ord) == reference_reduce(f, pairs, ord), (c, ord)
+
+
+def test_normal_form_matches_reference_division():
+    rng = random.Random(97)
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        for ord in kernel_orderings(sg):
+            basis = jn_basis_at(sg, ord, 2)
+            for _ in range(12):
+                f = random_kernel_poly(sg, rng)
+                assert normal_form(f, basis) == reference_reduce(f, basis.elements, ord), (c, ord)
 
 
 def test_ideal_rejects_bad_generators(a3):
@@ -157,6 +263,29 @@ def test_buchberger_principal_ideal(a3):
     basis = buchberger(Ideal((u_minus_1,)), ordering)
     assert basis.elements == ((u_minus_1, (1, 0)),)
     assert normal_form(u_minus_1 * u_minus_1, basis).is_zero
+
+
+def test_non_unit_leading_coefficient_takes_the_fraction_path(a3):
+    sg, ordering = a3
+    u = Poly.monomial(sg, (1, 0))
+    basis = buchberger(Ideal((2 * u - 1,)), ordering)
+    assert basis.elements == ((u - Fraction(1, 2), (1, 0)),)
+    (g, mark), = basis.elements
+    assert type(g.terms[mark]) is int and g.terms[mark] == 1
+    assert type(g.terms[(0, 0)]) is Fraction and g.terms[(0, 0)] == Fraction(-1, 2)
+    assert basis.to_json()["elements"][0]["poly"]["terms"] == [
+        {"exp": [0, 0], "num": -1, "den": 2},
+        {"exp": [1, 0], "num": 1, "den": 1},
+    ]
+    # lc = -1 only changes sign and stays integral
+    (g, _), = buchberger(Ideal((1 - u,)), ordering).elements
+    assert g == u - 1 and all(type(c) is int for c in g.terms.values())
+
+
+def test_a3_tower_coefficients_are_int(jn_basis):
+    for n in range(1, 11):
+        for g, _ in jn_basis(n).elements:
+            assert all(type(c) is int for c in g.terms.values()), n
 
 
 def test_buchberger_invariant_under_generator_permutation(a3):
