@@ -158,11 +158,51 @@ def s_polynomials(p1, p2, sg: AffineSemigroup) -> list:
     ]
 
 
+def _connected(sg, basis, mcms, reduced, i, j, m) -> bool:
+    """True iff working elements i and j are joined in the graph at degree m.
+
+    Its vertices are the elements whose mark divides m.  Two of them, a < b,
+    are joined when m is no minimal common multiple of their marks (then
+    one properly divides m, as m is a common multiple), or when the pair
+    (a, b, m) has already been reduced.
+    """
+    verts = [k for k, (_, mk) in enumerate(basis) if divides(sg, mk, m)]
+    seen, stack = {i}, [i]
+    while stack:
+        a = stack.pop()
+        for b in verts:
+            if b in seen:
+                continue
+            pair = (a, b) if a < b else (b, a)
+            if m not in mcms[pair] or pair + (m,) in reduced:
+                if b == j:
+                    return True
+                seen.add(b)
+                stack.append(b)
+    return False
+
+
 def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6) -> MarkedBasis:
-    """The unique reduced Groebner basis of the ideal under the ordering."""
+    """The unique reduced Groebner basis of the ideal under the ordering.
+
+    An S-pair (i, j, m), with m a minimal common multiple of the two marks,
+    is skipped unreduced when ``_connected`` joins i and j at degree m (the
+    chain criterion of Gebauer and Moeller, with several minimal common
+    multiples per pair).  This is sound: along a path i = k0, ..., kr = j
+    the S-polynomial telescopes into the sum of the S-polynomials of its
+    edges at m.  An edge whose marks have a minimal common multiple m'
+    properly dividing m contributes x^(m - m') times the S-polynomial at
+    m', and m' lies strictly below m; any other edge is a pair already
+    reduced at m.  Divisibility in S is well-founded, so induction on m
+    gives every S-polynomial a standard representation by the final
+    working basis.  ``max_reductions`` caps the S-pairs actually reduced;
+    skipped pairs do not count.
+    """
     sg = ord.sg
     basis = []
     heap = []
+    mcms = {}
+    reduced = set()
     tiebreak = itertools.count()
 
     def insert(f):
@@ -178,19 +218,21 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
             r = r * Fraction(1, lc)
         basis.append((r, mr))
         for i in range(j):
-            for m in min_common_multiples(sg, basis[i][1], mr):
+            mcms[i, j] = min_common_multiples(sg, basis[i][1], mr)
+            for m in mcms[i, j]:
                 heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))
 
     # reduce-on-insert keeps the working basis small from the start
     for g in sorted(ideal.generators, key=lambda g: ord.key(leading_monomial(ord, g))):
         insert(g)
 
-    reductions = 0
     while heap:
         _, _, i, j, m = heapq.heappop(heap)
-        reductions += 1
-        if reductions > max_reductions:
+        if _connected(sg, basis, mcms, reduced, i, j, m):
+            continue
+        if len(reduced) >= max_reductions:
             raise PairQueueExhausted(f"more than {max_reductions} S-pair reductions")
+        reduced.add((i, j, m))
         (gi, mi), (gj, mj) = basis[i], basis[j]
         insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
 

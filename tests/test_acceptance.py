@@ -61,7 +61,7 @@ def test_criterion_1_golden_j1_basis(a3):
 
 def test_criterion_2_marks_match_family(jn_basis):
     started = time.perf_counter()
-    ok = all(jn_basis(n).marks() == pn_family(n).points() for n in range(1, 13))
+    ok = all(jn_basis(n).marks() == pn_family(n).points() for n in range(1, 17))
     ok = ok and time.perf_counter() - started < 300.0
     report(2, ok, started)
 
@@ -69,7 +69,7 @@ def test_criterion_2_marks_match_family(jn_basis):
 def test_criterion_3_standard_monomial_counts(jn_basis):
     started = time.perf_counter()
     ok = True
-    for n in range(1, 13):
+    for n in range(1, 17):
         std = standard_monomials(jn_basis(n))
         dn = dn_set(n)
         ok = ok and len(std) == (n + 1) * (n + 2) // 2 == len(dn) and std == dn
@@ -80,7 +80,7 @@ def test_criterion_4_cone_rays_and_multiplicity(a3, jn_basis):
     started = time.perf_counter()
     sg, _ = a3
     ok = True
-    for n in range(1, 13):
+    for n in range(1, 17):
         gc = cone_of_basis(jn_basis(n))
         expected = (2 * n - 2, -n + 2) if n % 2 == 1 else (2 * n, -n + 1)
         ok = ok and gc.cone == Cone2((2, -1), expected)
@@ -91,7 +91,7 @@ def test_criterion_4_cone_rays_and_multiplicity(a3, jn_basis):
 def test_criterion_5_second_ray_witness_support(jn_basis):
     started = time.perf_counter()
     ok = True
-    for n in range(2, 13):
+    for n in range(2, 17):
         fam, prev = pn_family(n), pn_family(n - 1)
         if n % 2 == 0:
             mark, needed = fam.p, prev.s
@@ -201,7 +201,7 @@ def test_criterion_9_combinatorial_lemma_suite():
     def shadow(points, b):
         return any(divides(sg, a, b) for a in points)
 
-    for n in range(1, 13):
+    for n in range(1, 17):
         fam, nxt = pn_family(n), pn_family(n + 1)
         pts, nxt_pts = fam.points(), nxt.points()
 

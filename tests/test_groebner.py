@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import nashfan.fan as fan_module
+import nashfan.nash as nash_module
 from nashfan import groebner
 from nashfan.algebra import MatrixOrdering, Poly, leading_monomial
 from nashfan.fan import cone_of_basis, groebner_fan, sweep_start
@@ -309,15 +311,110 @@ def test_buchberger_invariant_under_regeneration(a3):
     assert got.elements == expected.elements
 
 
-def test_buchberger_criterion_on_output(a3, jn_basis):
-    sg, _ = a3
-    for n in (1, 2, 3):
-        basis = jn_basis(n)
-        elems = basis.elements
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                for s in s_polynomials(elems[i], elems[j], sg):
-                    assert normal_form(s, basis).is_zero
+def assert_s_polynomials_reduce_to_zero(basis):
+    """Every S-polynomial of the basis, at every minimal common multiple,
+    reduces to zero by the reference division: Buchberger's criterion."""
+    sg, elems = basis.sg, basis.elements
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            for s in s_polynomials(elems[i], elems[j], sg):
+                assert reference_reduce(s, elems, basis.ordering).is_zero, (elems[i][1], elems[j][1])
+
+
+CRITERION_CONES = cyclic_cones(7) + [Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3))]
+
+
+def test_buchberger_criterion_on_output(jn_basis):
+    for n in range(1, 9):
+        assert_s_polynomials_reduce_to_zero(jn_basis(n))
+
+
+def test_buchberger_criterion_on_every_fan_cone():
+    for c in CRITERION_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), 2)):
+            assert_s_polynomials_reduce_to_zero(gc.basis)
+
+
+def test_pruned_s_pairs_reduce_to_zero(a3, monkeypatch):
+    """Each S-polynomial that the pair criterion skips reduces to zero by the
+    reference division with the basis that buchberger returns."""
+    pruned = []
+    connected = groebner._connected
+
+    def recording(sg, basis, mcms, reduced, i, j, m):
+        hit = connected(sg, basis, mcms, reduced, i, j, m)
+        if hit:
+            (gi, mi), (gj, mj) = basis[i], basis[j]
+            pruned.append(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
+        return hit
+
+    checked = []
+
+    def checking(ideal, ord):
+        pruned.clear()
+        result = buchberger(ideal, ord)
+        for s in pruned:
+            assert reference_reduce(s, result.elements, ord).is_zero
+        checked.append(len(pruned))
+        return result
+
+    monkeypatch.setattr(groebner, "_connected", recording)
+    monkeypatch.setattr(nash_module, "buchberger", checking)
+    monkeypatch.setattr(fan_module, "buchberger", checking)
+
+    sg, ordering = a3
+    jn_basis_at(sg, ordering, 8)
+    assert sum(checked) > 0
+    checked.clear()
+    for c in CRITERION_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
+    assert sum(checked) > 0
+
+
+def test_cap_counts_only_reduced_pairs(a3, monkeypatch):
+    verdicts = []
+    connected = groebner._connected
+
+    def recording(*args):
+        verdicts.append(connected(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(groebner, "_connected", recording)
+    sg, ordering = a3
+    ideal = jn_generators(sg, 3)
+    expected = buchberger(ideal, ordering)
+    reduced = verdicts.count(False)
+    assert 0 < reduced < len(verdicts)
+    assert buchberger(ideal, ordering, max_reductions=reduced).elements == expected.elements
+    with pytest.raises(PairQueueExhausted):
+        buchberger(ideal, ordering, max_reductions=reduced - 1)
+
+
+def test_one_min_common_multiples_call_per_pair(a3, monkeypatch):
+    """buchberger computes the mcms of each pair of working elements once,
+    when the later one is inserted, and the pair criterion reuses them."""
+    calls = []
+    mcm = groebner.min_common_multiples
+
+    def recording(sg, a, b):
+        calls.append((a, b))
+        return mcm(sg, a, b)
+
+    monkeypatch.setattr(groebner, "min_common_multiples", recording)
+    sg, ordering = a3
+    gb2 = jn_basis_at(sg, ordering, 2)
+    binomials = [Poly.monomial(sg, a) - 1 for a in sg.generators]
+    for ideal in (
+        jn_generators(sg, 3),
+        Ideal(tuple(g * b for g, _ in gb2.elements for b in binomials)),
+    ):
+        calls.clear()
+        basis = buchberger(ideal, ordering)
+        working = list(dict.fromkeys(m for pair in calls for m in pair))
+        assert calls == [(working[i], working[j]) for j in range(len(working)) for i in range(j)]
+        assert basis.marks() <= set(working)
 
 
 def test_standard_monomials_examples(a3, jn_basis):
