@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,7 +93,16 @@ class MarkedBasis:
 
 
 def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
-    """Full division remainder of f by a list of monic (poly, mark) pairs.
+    """Division remainder of f by a list of (poly, mark) pairs, up to a factor.
+
+    The result is a nonzero integer multiple of the remainder on division
+    by the monic divisors g / lc(g); it is exactly that remainder when every
+    divisor is monic, as in a ``MarkedBasis``.  A divisor with lc l != 1 is
+    applied by pseudo-division: before it reduces a term c x^e, the whole
+    remainder so far (pending terms and finished output) is scaled by
+    l / gcd(l, c), so that the quotient coefficient c / gcd(l, c) and every
+    coefficient stay integers when f and the divisors have integer
+    coefficients.  A non-monic divisor needs an integral f.
 
     Tie-breaks: reduce the largest reducible monomial of the remainder,
     using the divisor with the smallest mark.  Every monomial introduced
@@ -107,8 +117,8 @@ def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
     (x1, y1), (x2, y2) = ord.sg.dual_cone.ray1, ord.sg.dual_cone.ray2
     neg_rows = [(-r0, -r1) for r0, r1 in ord.rows]
     divisors = sorted(
-        ((m[0] * y2 - m[1] * x2, x1 * m[1] - y1 * m[0], m, g) for g, m in pairs),
-        key=lambda d: ord.key(d[2]),
+        ((m[0] * y2 - m[1] * x2, x1 * m[1] - y1 * m[0], (m, g, g.terms[m])) for g, m in pairs),
+        key=lambda d: ord.key(d[2][0]),
     )
     terms = dict(f.terms)
     out = {}
@@ -122,13 +132,22 @@ def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
         if not c:
             continue
         a, b = e[0] * y2 - e[1] * x2, x1 * e[1] - y1 * e[0]
-        for am, bm, m, g in divisors:
+        for am, bm, d in divisors:
             if a >= am and b >= bm:
                 break
         else:
             out[e] = c
             del terms[e]
             continue
+        m, g, lc = d
+        if lc != 1:
+            k = math.gcd(lc, c)
+            s = lc // k
+            if s != 1:
+                for part in (terms, out):
+                    for e2 in part:
+                        part[e2] *= s
+            c //= k
         s0, s1 = e[0] - m[0], e[1] - m[1]
         for (u0, u1), c2 in g.terms.items():
             e3 = (u0 + s0, u1 + s1)
@@ -147,6 +166,20 @@ def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
 def normal_form(f: Poly, basis: MarkedBasis) -> Poly:
     """Remainder of f on full division by the basis; support avoids all marks."""
     return _reduce(f, basis.elements, basis.ordering)
+
+
+def _primitive(f: Poly, mark) -> Poly:
+    """The multiple of f with coprime integer coefficients and lc > 0 at mark."""
+    den = math.lcm(*[c.denominator for c in f.terms.values()])
+    terms = f.terms
+    if den != 1:
+        terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    k = math.gcd(*terms.values())
+    if terms[mark] < 0:
+        k = -k
+    if k == 1:
+        return f if den == 1 else Poly._make(f.sg, terms)
+    return Poly._make(f.sg, {e: c // k for e, c in terms.items()})
 
 
 def s_polynomials(p1, p2, sg: AffineSemigroup) -> list:
@@ -197,6 +230,14 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
     gives every S-polynomial a standard representation by the final
     working basis.  ``max_reductions`` caps the S-pairs actually reduced;
     skipped pairs do not count.
+
+    The working basis is fraction-free: every element, generators included,
+    is stored as a primitive integer polynomial (coprime coefficients) with
+    positive lc, never divided by its lc.  The S-polynomial of (i, j, m) is
+    (lj/k) x^(m - mi) gi - (li/k) x^(m - mj) gj with k = gcd(li, lj), and
+    ``_reduce`` pseudo-divides, so both are nonzero multiples of their monic
+    counterparts and the argument above holds unchanged.  Only the final
+    pass divides each kept element by its lc, which may leave Fractions.
     """
     sg = ord.sg
     basis = []
@@ -211,20 +252,16 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
             return
         mr = leading_monomial(ord, r)
         j = len(basis)
-        lc = r.coeff(mr)
-        if lc == -1:
-            r = -r
-        elif lc != 1:
-            r = r * Fraction(1, lc)
-        basis.append((r, mr))
+        basis.append((_primitive(r, mr), mr))
         for i in range(j):
             mcms[i, j] = min_common_multiples(sg, basis[i][1], mr)
             for m in mcms[i, j]:
                 heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))
 
     # reduce-on-insert keeps the working basis small from the start
-    for g in sorted(ideal.generators, key=lambda g: ord.key(leading_monomial(ord, g))):
-        insert(g)
+    gens = [(leading_monomial(ord, g), g) for g in ideal.generators]
+    for m, g in sorted(gens, key=lambda mg: ord.key(mg[0])):
+        insert(_primitive(g, m))
 
     while heap:
         _, _, i, j, m = heapq.heappop(heap)
@@ -234,17 +271,24 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
             raise PairQueueExhausted(f"more than {max_reductions} S-pair reductions")
         reduced.add((i, j, m))
         (gi, mi), (gj, mj) = basis[i], basis[j]
+        li, lj = gi.terms[mi], gj.terms[mj]
+        if li != lj:
+            k = math.gcd(li, lj)
+            gi, gj = gi * (lj // k), gj * (li // k)
         insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
 
     # one pass by increasing mark: drop an element whose mark a kept mark
-    # divides, else reduce it by the kept ones.  A mark lies below all of
-    # its proper multiples, so no later mark divides a monomial of an
-    # earlier element, and no kept mark divides the (monic) mark itself.
+    # divides, else reduce it by the kept ones and make it monic.  A mark
+    # lies below all of its proper multiples, so no later mark divides a
+    # monomial of an earlier element, and no kept mark divides the mark
+    # itself, whose coefficient the reduction therefore leaves alone.
     basis.sort(key=lambda gm: ord.key(gm[1]))
     kept = []
     for g, m in basis:
         if not any(divides(sg, m2, m) for _, m2 in kept):
-            kept.append((_reduce(g, kept, ord), m))
+            r = _reduce(g, kept, ord)
+            lc = r.terms[m]
+            kept.append((r if lc == 1 else r * Fraction(1, lc), m))
 
     return MarkedBasis(tuple(kept), ord)
 

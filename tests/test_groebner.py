@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -177,6 +178,37 @@ def test_reduce_matches_reference_division():
                 assert groebner._reduce(f, pairs, ord) == reference_reduce(f, pairs, ord), (c, ord)
 
 
+def test_reduce_pseudo_divides_by_non_monic_divisors():
+    """_reduce by primitive integer divisors with lc != 1 returns a nonzero
+    multiple of the remainder by their monic versions, in integers.
+
+    The product generators of J_2 are monic, so each gets its leading
+    coefficient replaced by an integer l != 1; their constant term is +-1,
+    so they stay primitive.
+    """
+    rng = random.Random(103)
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        for ord in kernel_orderings(sg):
+            pairs = []
+            for g in jn_generators(sg, 2).generators:
+                m = leading_monomial(ord, g)
+                lc = rng.choice((-3, -2, -1, 2, 3, 4, 6))
+                pairs.append((g + (lc - 1) * Poly.monomial(sg, m), m))
+            monic = [(g * Fraction(1, g.coeff(m)), m) for g, m in pairs]
+            for _ in range(12):
+                f = random_kernel_poly(sg, rng)
+                f = f * math.lcm(*[v.denominator for v in f.terms.values()])
+                got = groebner._reduce(f, pairs, ord)
+                want = reference_reduce(f, monic, ord)
+                assert all(type(v) is int for v in got.terms.values()), (c, ord)
+                assert got.support() == want.support(), (c, ord)
+                if want.is_zero:
+                    continue
+                e = next(iter(want.terms))
+                assert got == want * (Fraction(got.coeff(e)) / want.coeff(e)), (c, ord)
+
+
 def test_normal_form_matches_reference_division():
     rng = random.Random(97)
     for c in KERNEL_CONES:
@@ -267,7 +299,9 @@ def test_buchberger_principal_ideal(a3):
     assert normal_form(u_minus_1 * u_minus_1, basis).is_zero
 
 
-def test_non_unit_leading_coefficient_takes_the_fraction_path(a3):
+def test_final_pass_divides_by_the_leading_coefficient(a3):
+    """The working basis keeps 2u - 1 primitive over the integers; only the
+    final pass divides it by its lc, which leaves a Fraction in the tail."""
     sg, ordering = a3
     u = Poly.monomial(sg, (1, 0))
     basis = buchberger(Ideal((2 * u - 1,)), ordering)
@@ -288,6 +322,30 @@ def test_a3_tower_coefficients_are_int(jn_basis):
     for n in range(1, 11):
         for g, _ in jn_basis(n).elements:
             assert all(type(c) is int for c in g.terms.values()), n
+
+
+def test_working_basis_stays_integral(a3, monkeypatch):
+    """Every f that buchberger divides has int coefficients, and every divisor
+    is either all-int (a primitive working element) or monic (a kept element
+    of the final pass), also on a sweep that ends with Fraction coefficients."""
+    non_monic = []
+    inner = groebner._reduce
+
+    def checking(f, pairs, ord):
+        assert all(type(c) is int for c in f.terms.values()), f
+        for g, m in pairs:
+            assert g.coeff(m) == 1 or all(type(c) is int for c in g.terms.values()), g
+            if g.coeff(m) != 1:
+                non_monic.append(m)
+        return inner(f, pairs, ord)
+
+    monkeypatch.setattr(groebner, "_reduce", checking)
+    sg, ordering = a3
+    jn_basis_at(sg, ordering, 8)
+    for c in (Cone2((0, 1), (7, -3)), Cone2((0, 1), (11, -4))):
+        sg = AffineSemigroup.from_support_cone(c)
+        groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
+    assert non_monic
 
 
 def test_buchberger_invariant_under_generator_permutation(a3):
