@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MatrixOrdering
-from .groebner import Ideal, MarkedBasis, buchberger
+from .algebra import MatrixOrdering, initial_form
+from .groebner import Ideal, MarkedBasis, buchberger, interreduce, normal_form
 from .lattice import (
     Cone2,
     Fan2,
@@ -54,11 +54,37 @@ def sweep_start(sg: AffineSemigroup) -> MatrixOrdering:
 def groebner_fan(first: MarkedBasis) -> list:
     """All maximal Groebner-fan cones, swept across sigma in angular order.
 
-    `first` is the reduced basis under sweep_start(sg).  Each later cone runs
-    Buchberger on its neighbour's basis, with the shared frontier ray as the
-    first row and a tie-break row pointing on in the rotation, which selects
-    the far side of the frontier without epsilon arithmetic.  Reuse a basis
-    only there: under a far ordering its coefficients can blow up.
+    `first` is the reduced basis under sweep_start(sg).  Each later cone is
+    reached from its neighbour's reduced basis G by a Groebner flip at the
+    shared frontier ray w (Fukuda, Jensen and Thomas, "Computing Groebner
+    fans", Math. Comp. 2007), a one-step Groebner walk.  The new ordering
+    has w as its first row and a tie-break row pointing on in the rotation,
+    which selects the far side of the frontier without epsilon arithmetic.
+    The flip takes four steps:
+
+    1. in_w(g) of every g in G;
+    2. H, the reduced basis of these initial forms under the new ordering,
+       by ``buchberger``;
+    3. the lift h - normal_form(h, G) of every h in H, a division by G
+       under G's own ordering;
+    4. ``interreduce`` of the lifts under the new ordering.
+
+    w lies in the closure of G's cone, so every mark of G is a term of
+    maximal w-weight of its element.  Then G is also a Groebner basis under
+    w-weight refined by G's ordering, and in_w(G) is a Groebner basis of
+    in_w(J_n) under G's ordering.  H is the reduced basis of in_w(J_n)
+    under the new ordering, and each h in H is w-homogeneous, of weight d
+    say.  Dividing h by G, a step on a term of weight d subtracts a
+    multiple of some g whose terms of weight d form in_w(g) and whose other
+    terms weigh less; a step on a lighter term adds only lighter terms.  So
+    the terms of weight d of r = normal_form(h, G) are the remainder of h
+    on division by in_w(G), which is 0, and r weighs less than d
+    throughout.  The lift f = h - r lies in J_n and in_w(f) = h.  The new
+    ordering compares w-weight first, so f keeps the leading monomial of
+    h, and the initial ideal of J_n under it is that of in_w(J_n), which
+    the marks of H generate.  The lifts are thus a Groebner basis of J_n
+    under the new ordering, and one inter-reduction makes it reduced.  All
+    of this needs w in the closure of G's cone, so G is flipped only there.
     """
     sg = first.sg
     if first.ordering != sweep_start(sg):
@@ -77,7 +103,8 @@ def groebner_fan(first: MarkedBasis) -> list:
         if len(cones) >= 10 ** 4:
             raise SweepStalled("more than 10000 cones; sweep is not terminating")
         ord = MatrixOrdering((frontier, rot_ccw(frontier)), sg)
-        basis = buchberger(Ideal(g for g, _ in basis.elements), ord)
+        flip = buchberger(Ideal(initial_form(frontier, g) for g, _ in basis.elements), ord)
+        basis = interreduce([(h - normal_form(h, basis), m) for h, m in flip.elements], ord)
 
 
 def fan_of_cones(cones: list) -> Fan2:

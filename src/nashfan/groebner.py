@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import vsub
+from .lattice import cross, vsub
 from .semigroup import AffineSemigroup, divides, min_common_multiples
 
 
@@ -56,16 +56,19 @@ class MarkedBasis:
     def __post_init__(self):
         elems = tuple(sorted(self.elements, key=lambda gm: gm[1]))
         object.__setattr__(self, "elements", elems)
-        sg = self.ordering.sg
+        r1, r2 = self.ordering.sg.dual_cone.ray1, self.ordering.sg.dual_cone.ray2
         marks = [m for _, m in elems]
         if len(set(marks)) != len(marks):
             raise ValueError("marks must be pairwise distinct")
+        # divisibility on cone coordinates, as in _reduce
+        mark_ab = [(m2, cross(m2, r2), cross(r1, m2)) for m2 in marks]
         for g, m in elems:
             if leading_monomial(self.ordering, g) != m or g.coeff(m) != 1:
                 raise ValueError(f"element marked {m} is not monic with that leading monomial")
             for e in g.support():
-                for m2 in marks:
-                    if m2 != m and divides(sg, m2, e):
+                a, b = cross(e, r2), cross(r1, e)
+                for m2, am, bm in mark_ab:
+                    if m2 != m and a >= am and b >= bm:
                         raise ValueError(f"monomial {e} of element {m} is divisible by mark {m2}")
 
     @property
@@ -191,15 +194,18 @@ def s_polynomials(p1, p2, sg: AffineSemigroup) -> list:
     ]
 
 
-def _connected(sg, basis, mcms, reduced, i, j, m) -> bool:
+def _connected(ab, basis, mcms, reduced, i, j, m) -> bool:
     """True iff working elements i and j are joined in the graph at degree m.
 
     Its vertices are the elements whose mark divides m.  Two of them, a < b,
     are joined when m is no minimal common multiple of their marks (then
     one properly divides m, as m is a common multiple), or when the pair
-    (a, b, m) has already been reduced.
+    (a, b, m) has already been reduced.  ``ab`` maps every mark and every
+    minimal common multiple to its cone coordinates (α, β) (see
+    ``_reduce``), so each divisibility test is two comparisons.
     """
-    verts = [k for k, (_, mk) in enumerate(basis) if divides(sg, mk, m)]
+    am, bm = ab[m]
+    verts = [k for k, (_, mk) in enumerate(basis) if (c := ab[mk])[0] <= am and c[1] <= bm]
     seen, stack = {i}, [i]
     while stack:
         a = stack.pop()
@@ -228,8 +234,14 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
     m', and m' lies strictly below m; any other edge is a pair already
     reduced at m.  Divisibility in S is well-founded, so induction on m
     gives every S-polynomial a standard representation by the final
-    working basis.  ``max_reductions`` caps the S-pairs actually reduced;
-    skipped pairs do not count.
+    working basis.
+
+    A pair of two monomials is skipped before the criterion is asked: both
+    working elements are primitive, so they are x^mi and x^mj, and their
+    S-polynomial x^m - x^m is identically 0.  It is recorded as reduced at
+    m, which is sound for the argument above, since 0 has the empty
+    standard representation.  ``max_reductions`` caps the S-pairs actually
+    reduced; pairs skipped for either reason do not count.
 
     The working basis is fraction-free: every element, generators included,
     is stored as a primitive integer polynomial (coprime coefficients) with
@@ -237,13 +249,17 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
     (lj/k) x^(m - mi) gi - (li/k) x^(m - mj) gj with k = gcd(li, lj), and
     ``_reduce`` pseudo-divides, so both are nonzero multiples of their monic
     counterparts and the argument above holds unchanged.  Only the final
-    pass divides each kept element by its lc, which may leave Fractions.
+    pass (``interreduce``) divides each kept element by its lc, which may
+    leave Fractions.
     """
     sg = ord.sg
+    r1, r2 = sg.dual_cone.ray1, sg.dual_cone.ray2
     basis = []
     heap = []
     mcms = {}
+    ab = {}
     reduced = set()
+    reductions = 0
     tiebreak = itertools.count()
 
     def insert(f):
@@ -253,9 +269,11 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
         mr = leading_monomial(ord, r)
         j = len(basis)
         basis.append((_primitive(r, mr), mr))
+        ab[mr] = cross(mr, r2), cross(r1, mr)
         for i in range(j):
             mcms[i, j] = min_common_multiples(sg, basis[i][1], mr)
             for m in mcms[i, j]:
+                ab[m] = cross(m, r2), cross(r1, m)
                 heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))
 
     # reduce-on-insert keeps the working basis small from the start
@@ -265,31 +283,44 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
 
     while heap:
         _, _, i, j, m = heapq.heappop(heap)
-        if _connected(sg, basis, mcms, reduced, i, j, m):
-            continue
-        if len(reduced) >= max_reductions:
-            raise PairQueueExhausted(f"more than {max_reductions} S-pair reductions")
-        reduced.add((i, j, m))
         (gi, mi), (gj, mj) = basis[i], basis[j]
+        if len(gi.terms) == 1 and len(gj.terms) == 1:
+            reduced.add((i, j, m))
+            continue
+        if _connected(ab, basis, mcms, reduced, i, j, m):
+            continue
+        if reductions >= max_reductions:
+            raise PairQueueExhausted(f"more than {max_reductions} S-pair reductions")
+        reductions += 1
+        reduced.add((i, j, m))
         li, lj = gi.terms[mi], gj.terms[mj]
         if li != lj:
             k = math.gcd(li, lj)
             gi, gj = gi * (lj // k), gj * (li // k)
         insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
 
-    # one pass by increasing mark: drop an element whose mark a kept mark
-    # divides, else reduce it by the kept ones and make it monic.  A mark
-    # lies below all of its proper multiples, so no later mark divides a
-    # monomial of an earlier element, and no kept mark divides the mark
-    # itself, whose coefficient the reduction therefore leaves alone.
-    basis.sort(key=lambda gm: ord.key(gm[1]))
+    return interreduce(basis, ord)
+
+
+def interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
+    """The reduced basis from a Groebner basis given as (poly, mark) pairs.
+
+    Each mark is the leading monomial of its polynomial under the ordering.
+    One pass by increasing mark: drop an element whose mark a kept mark
+    divides, else reduce it by the kept ones and make it monic.  A mark
+    lies below all of its proper multiples, so no later mark divides a
+    monomial of an earlier element, and no kept mark divides the mark
+    itself, whose coefficient the reduction therefore leaves alone.  The
+    kept elements are monic, so each division is exact, whatever the
+    coefficients of the input.
+    """
+    sg = ord.sg
     kept = []
-    for g, m in basis:
+    for g, m in sorted(pairs, key=lambda gm: ord.key(gm[1])):
         if not any(divides(sg, m2, m) for _, m2 in kept):
             r = _reduce(g, kept, ord)
             lc = r.terms[m]
             kept.append((r if lc == 1 else r * Fraction(1, lc), m))
-
     return MarkedBasis(tuple(kept), ord)
 
 

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from nashfan.algebra import Poly, initial_form, weight_refine
+import nashfan.fan as fan_module
+from nashfan import groebner
+from nashfan.algebra import Poly, initial_form, leading_monomial, weight_refine
 from nashfan.fan import cone_of_basis, fan_of_cones, fan_to_json, groebner_fan, sweep_start
-from nashfan.groebner import buchberger, standard_monomials
+from nashfan.groebner import Ideal, MarkedBasis, PairQueueExhausted, buchberger, standard_monomials
 from nashfan.lattice import Cone2, multiplicity, validate_fan, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 from nashfan.semigroup import AffineSemigroup
@@ -15,6 +17,13 @@ from nashfan.semigroup import AffineSemigroup
 from test_nash import cyclic_cones
 
 GOLDEN_7_3 = Path(__file__).parent / "golden" / "cone_0_1_7_-3_fan_n2.json"
+
+# (support cone, n) of the sweeps the colength and flip oracles run: every
+# cyclic cone with d <= 9 at n = 1..3, A3 at n = 1..4, and two cones whose
+# dual leaves the first quadrant
+SWEEP_CASES = [(c, n) for c in cyclic_cones(9) for n in (1, 2, 3)]
+SWEEP_CASES += [(a3_semigroup().support_cone, n) for n in (1, 2, 3, 4)]
+SWEEP_CASES += [(c, n) for c in (Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3))) for n in (1, 2)]
 
 
 def random_interior_weight(cone, rng, span=6):
@@ -157,13 +166,98 @@ def test_every_fan_cone_has_the_colength_of_a_smooth_point():
     so J_n = I^(n+1) has that colength under every ordering; the count does
     not call buchberger.
     """
-    cases = [(c, n) for c in cyclic_cones(9) for n in (1, 2, 3)]
-    cases += [(a3_semigroup().support_cone, n) for n in (1, 2, 3, 4)]
-    cases += [(c, n) for c in (Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3))) for n in (1, 2)]
-    for c, n in cases:
+    for c, n in SWEEP_CASES:
         sg = AffineSemigroup.from_support_cone(c)
         for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), n)):
             assert len(standard_monomials(gc.basis)) == (n + 1) * (n + 2) // 2, (c, n, gc.cone)
+
+
+def initial_basis(w, basis):
+    """in_w of every element of a reduced basis, as a marked basis."""
+    return MarkedBasis(tuple((initial_form(w, g), m) for g, m in basis.elements), basis.ordering)
+
+
+def test_every_flip_matches_the_full_buchberger_step(monkeypatch):
+    """Each step of the sweep against a Buchberger run on the previous basis.
+
+    The reference is the step the sweep took before it flipped: the full
+    Buchberger run on the previous cone's basis under the new ordering.  At
+    each step w is the frontier ray, H the reduced basis of the initial
+    forms and the lifts are what the flip inter-reduces.  H is
+    w-homogeneous and equals in_w of the reference basis, which holds no
+    monomial, though the initial forms that H is computed from mix
+    monomials and binomials.  Each lift f has in_w(f) = h and the leading
+    monomial of h.
+    """
+    steps = []
+    inner_buchberger, inner_interreduce = fan_module.buchberger, fan_module.interreduce
+
+    def recording_buchberger(ideal, ord):
+        steps.append([ideal, inner_buchberger(ideal, ord)])
+        return steps[-1][1]
+
+    def recording_interreduce(pairs, ord):
+        steps[-1].append(list(pairs))
+        return inner_interreduce(pairs, ord)
+
+    monkeypatch.setattr(fan_module, "buchberger", recording_buchberger)
+    monkeypatch.setattr(fan_module, "interreduce", recording_interreduce)
+    mixed = 0
+    for c, n in SWEEP_CASES:
+        sg = AffineSemigroup.from_support_cone(c)
+        steps.clear()
+        cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), n))
+        assert len(steps) == len(cones) - 1
+        for prev, gc, (ideal, flip, lifts) in zip(cones, cones[1:], steps):
+            ord = gc.basis.ordering
+            w = ord.rows[0]
+            assert w == prev.cone.ray2
+            reference = buchberger(Ideal(g for g, _ in prev.basis.elements), ord)
+            assert gc.basis == reference, (c, n, gc.cone)
+            assert flip == initial_basis(w, reference), (c, n, gc.cone)
+            mixed += {len(g.terms) == 1 for g in ideal.generators} == {True, False}
+            assert len(lifts) == len(flip.elements)
+            for (h, m), (f, mf) in zip(flip.elements, lifts):
+                assert initial_form(w, h) == h
+                assert initial_form(w, f) == h and mf == m
+                assert leading_monomial(ord, f) == leading_monomial(ord, h) == m
+    assert mixed
+
+
+def test_monomial_pairs_are_skipped_uncounted(monkeypatch):
+    """A flip's input mixes monomials and binomials; every pair of two
+    monomials is skipped before the pair criterion and not counted by
+    max_reductions, and the basis is in_w of the full Buchberger step."""
+    sg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
+    prev, gc = cones[1], cones[2]
+    w, ord = prev.cone.ray2, gc.basis.ordering
+    ideal = Ideal(initial_form(w, g) for g, _ in prev.basis.elements)
+    assert {len(g.terms) == 1 for g in ideal.generators} == {True, False}
+    reference = buchberger(Ideal(g for g, _ in prev.basis.elements), ord)
+
+    verdicts, pushed = [], []
+    connected, mcm = groebner._connected, groebner.min_common_multiples
+
+    def recording_connected(*args):
+        verdicts.append(connected(*args))
+        return verdicts[-1]
+
+    def recording_mcm(*args):
+        result = mcm(*args)
+        pushed.append(len(result))
+        return result
+
+    monkeypatch.setattr(groebner, "_connected", recording_connected)
+    monkeypatch.setattr(groebner, "min_common_multiples", recording_mcm)
+    expected = buchberger(ideal, ord)
+    assert expected == initial_basis(w, reference)
+    reduced = verdicts.count(False)
+    # each pair popped either is a pair of monomials or asks the criterion
+    assert sum(pushed) > len(verdicts) and reduced > 0
+    assert buchberger(ideal, ord, max_reductions=reduced) == expected
+    with pytest.raises(PairQueueExhausted):
+        buchberger(ideal, ord, max_reductions=reduced - 1)
 
 
 def test_sweep_keeps_its_non_integer_coefficients():

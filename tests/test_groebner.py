@@ -327,25 +327,53 @@ def test_a3_tower_coefficients_are_int(jn_basis):
 def test_working_basis_stays_integral(a3, monkeypatch):
     """Every f that buchberger divides has int coefficients, and every divisor
     is either all-int (a primitive working element) or monic (a kept element
-    of the final pass), also on a sweep that ends with Fraction coefficients."""
+    of the final pass), also on a sweep that ends with Fraction coefficients.
+
+    The fan sweep's flip also divides outside buchberger: its lift divides a
+    basis element, which may hold Fractions, by the previous cone's basis,
+    and its inter-reduction divides the lifts by the kept ones.  Both divide
+    exactly, by monic divisors only."""
     non_monic = []
+    outside = []
+    running = []
+
+    def track(module):
+        inner = module.buchberger
+
+        def running_buchberger(*args, **kwargs):
+            running.append(True)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(module, "buchberger", running_buchberger)
+
     inner = groebner._reduce
 
     def checking(f, pairs, ord):
-        assert all(type(c) is int for c in f.terms.values()), f
+        if running:
+            assert all(type(c) is int for c in f.terms.values()), f
+        else:
+            assert all(g.coeff(m) == 1 for g, m in pairs), f
+            outside.append(f)
         for g, m in pairs:
             assert g.coeff(m) == 1 or all(type(c) is int for c in g.terms.values()), g
             if g.coeff(m) != 1:
                 non_monic.append(m)
         return inner(f, pairs, ord)
 
+    track(nash_module)
+    track(fan_module)
     monkeypatch.setattr(groebner, "_reduce", checking)
     sg, ordering = a3
     jn_basis_at(sg, ordering, 8)
+    assert not outside
     for c in (Cone2((0, 1), (7, -3)), Cone2((0, 1), (11, -4))):
         sg = AffineSemigroup.from_support_cone(c)
         groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
     assert non_monic
+    assert any(type(c) is Fraction for f in outside for c in f.terms.values())
 
 
 def test_buchberger_invariant_under_generator_permutation(a3):
