@@ -34,10 +34,8 @@ from .groebner import (
     PairQueueExhausted,
     QuotientNotFinite,
     buchberger,
-    colon_contains,
     ideal_membership,
     normal_form,
-    s_polynomials,
     standard_monomials,
 )
 from .fan import (
@@ -53,7 +51,6 @@ from .nash import (
     a3_semigroup,
     dn_set,
     jn_bases,
-    jn_generators,
     l_vector,
     nash_fan,
     phi_linear,

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import cross, vsub
-from .semigroup import AffineSemigroup, divides, min_common_multiples
+from .lattice import cone_coords, vsub
+from .semigroup import AffineSemigroup, min_common_multiples
 
 
 class QuotientNotFinite(ValueError):
@@ -56,17 +56,16 @@ class MarkedBasis:
     def __post_init__(self):
         elems = tuple(sorted(self.elements, key=lambda gm: gm[1]))
         object.__setattr__(self, "elements", elems)
-        r1, r2 = self.ordering.sg.dual_cone.ray1, self.ordering.sg.dual_cone.ray2
+        dual = self.ordering.sg.dual_cone
         marks = [m for _, m in elems]
         if len(set(marks)) != len(marks):
             raise ValueError("marks must be pairwise distinct")
-        # divisibility on cone coordinates, as in _reduce
-        mark_ab = [(m2, cross(m2, r2), cross(r1, m2)) for m2 in marks]
+        mark_ab = [(m2, *cone_coords(dual, m2)) for m2 in marks]
         for g, m in elems:
             if leading_monomial(self.ordering, g) != m or g.coeff(m) != 1:
                 raise ValueError(f"element marked {m} is not monic with that leading monomial")
             for e in g.support():
-                a, b = cross(e, r2), cross(r1, e)
+                a, b = cone_coords(dual, e)
                 for m2, am, bm in mark_ab:
                     if m2 != m and a >= am and b >= bm:
                         raise ValueError(f"monomial {e} of element {m} is divisible by mark {m2}")
@@ -112,15 +111,15 @@ def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
     by a reduction step sits strictly below the reduced one, so a single
     descending heap pass visits each monomial once.
 
-    x^m divides x^e exactly when α(e) >= α(m) and β(e) >= β(m), in the
-    coordinates α = cross(·, ray2), β = cross(ray1, ·) of the exponent cone
-    (see ``lattice.minimal_points``).  The divisors are scanned in
-    increasing mark order, so the first one that divides is the smallest.
+    Divisibility is tested on the cone coordinates of ``lattice.cone_coords``,
+    computed once per divisor mark and once per popped term.  The divisors
+    are scanned in increasing mark order, so the first one that divides is
+    the smallest.
     """
-    (x1, y1), (x2, y2) = ord.sg.dual_cone.ray1, ord.sg.dual_cone.ray2
+    dual = ord.sg.dual_cone
     neg_rows = [(-r0, -r1) for r0, r1 in ord.rows]
     divisors = sorted(
-        ((m[0] * y2 - m[1] * x2, x1 * m[1] - y1 * m[0], (m, g, g.terms[m])) for g, m in pairs),
+        ((*cone_coords(dual, m), (m, g, g.terms[m])) for g, m in pairs),
         key=lambda d: ord.key(d[2][0]),
     )
     terms = dict(f.terms)
@@ -134,7 +133,7 @@ def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:
         c = terms.get(e)
         if not c:
             continue
-        a, b = e[0] * y2 - e[1] * x2, x1 * e[1] - y1 * e[0]
+        a, b = cone_coords(dual, e)
         for am, bm, d in divisors:
             if a >= am and b >= bm:
                 break
@@ -185,15 +184,6 @@ def _primitive(f: Poly, mark) -> Poly:
     return Poly._make(f.sg, {e: c // k for e, c in terms.items()})
 
 
-def s_polynomials(p1, p2, sg: AffineSemigroup) -> list:
-    """One S-polynomial per minimal common multiple of the two marks."""
-    (g1, m1), (g2, m2) = p1, p2
-    return [
-        g1.shift(vsub(m, m1)) - g2.shift(vsub(m, m2))
-        for m in sorted(min_common_multiples(sg, m1, m2))
-    ]
-
-
 def _connected(ab, basis, mcms, reduced, i, j, m) -> bool:
     """True iff working elements i and j are joined in the graph at degree m.
 
@@ -202,7 +192,7 @@ def _connected(ab, basis, mcms, reduced, i, j, m) -> bool:
     one properly divides m, as m is a common multiple), or when the pair
     (a, b, m) has already been reduced.  ``ab`` maps every mark and every
     minimal common multiple to its cone coordinates (α, β) (see
-    ``_reduce``), so each divisibility test is two comparisons.
+    ``lattice.cone_coords``), so each divisibility test is two comparisons.
     """
     am, bm = ab[m]
     verts = [k for k, (_, mk) in enumerate(basis) if (c := ab[mk])[0] <= am and c[1] <= bm]
@@ -253,7 +243,7 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
     leave Fractions.
     """
     sg = ord.sg
-    r1, r2 = sg.dual_cone.ray1, sg.dual_cone.ray2
+    dual = sg.dual_cone
     basis = []
     heap = []
     mcms = {}
@@ -269,11 +259,11 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
         mr = leading_monomial(ord, r)
         j = len(basis)
         basis.append((_primitive(r, mr), mr))
-        ab[mr] = cross(mr, r2), cross(r1, mr)
+        ab[mr] = cone_coords(dual, mr)
         for i in range(j):
             mcms[i, j] = min_common_multiples(sg, basis[i][1], mr)
             for m in mcms[i, j]:
-                ab[m] = cross(m, r2), cross(r1, m)
+                ab[m] = cone_coords(dual, m)
                 heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))
 
     # reduce-on-insert keeps the working basis small from the start
@@ -314,13 +304,15 @@ def interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
     kept elements are monic, so each division is exact, whatever the
     coefficients of the input.
     """
-    sg = ord.sg
-    kept = []
+    dual = ord.sg.dual_cone
+    kept, kept_ab = [], []
     for g, m in sorted(pairs, key=lambda gm: ord.key(gm[1])):
-        if not any(divides(sg, m2, m) for _, m2 in kept):
+        a, b = cone_coords(dual, m)
+        if not any(a >= am and b >= bm for am, bm in kept_ab):
             r = _reduce(g, kept, ord)
             lc = r.terms[m]
             kept.append((r if lc == 1 else r * Fraction(1, lc), m))
+            kept_ab.append((a, b))
     return MarkedBasis(tuple(kept), ord)
 
 
@@ -331,10 +323,12 @@ def standard_monomials(basis: MarkedBasis, cap: int = 10 ** 5) -> set:
     monomial along generator additions visits all of it.
     """
     sg = basis.sg
-    marks = basis.marks()
+    dual = sg.dual_cone
+    marks_ab = [cone_coords(dual, m) for m in basis.marks()]
 
     def standard(e):
-        return not any(divides(sg, m, e) for m in marks)
+        a, b = cone_coords(dual, e)
+        return not any(a >= am and b >= bm for am, bm in marks_ab)
 
     if not standard((0, 0)):
         return set()
@@ -354,10 +348,3 @@ def standard_monomials(basis: MarkedBasis, cap: int = 10 ** 5) -> set:
 
 def ideal_membership(f: Poly, basis: MarkedBasis) -> bool:
     return normal_form(f, basis).is_zero
-
-
-def colon_contains(basisI: MarkedBasis, f: Poly, h: Poly) -> bool:
-    """True iff h lies in the colon ideal (I : f)."""
-    if f.is_zero:
-        raise ValueError("colon by the zero polynomial")
-    return ideal_membership(h * f, basisI)

@@ -87,9 +87,22 @@ def dual_cone(c: Cone2) -> Cone2:
     return Cone2(rot_ccw(c.ray1), rot_cw(c.ray2))
 
 
+def cone_coords(c: Cone2, p: Vec) -> Vec:
+    """The coordinates (α, β) = (cross(p, ray2), cross(ray1, p)) of p in c.
+
+    d·p = α·ray1 + β·ray2 with d = multiplicity(c), so p lies in c iff
+    α, β >= 0, and in the semigroup of c's lattice points x^b divides x^a
+    iff α(a) >= α(b) and β(a) >= β(b).  This is the one definition of α and
+    β that every divisibility test reads.
+    """
+    (x1, y1), (x2, y2) = c.ray1, c.ray2
+    return p[0] * y2 - p[1] * x2, x1 * p[1] - y1 * p[0]
+
+
 def contains(c: Cone2, p: Vec) -> bool:
     """True iff p is a nonnegative combination of the rays of c."""
-    return cross(p, c.ray2) >= 0 and cross(c.ray1, p) >= 0
+    a, b = cone_coords(c, p)
+    return a >= 0 and b >= 0
 
 
 def multiplicity(c: Cone2) -> int:
@@ -100,18 +113,18 @@ def multiplicity(c: Cone2) -> int:
 def minimal_points(c: Cone2, lo1: int, lo2: int) -> set:
     """Divisibility-minimal lattice points m with α(m) >= lo1, β(m) >= lo2.
 
-    In the cone's coordinates α(m) = cross(m, ray2), β(m) = cross(ray1, m),
-    divisibility is the componentwise order, so the minimal points form a
-    staircase.  The points with α = a have β ≡ a·t (mod d), d = cross(ray1,
-    ray2), t = β(v) for a v with α(v) = 1; gcd(t, d) = 1, so walking a up
-    from lo1, keeping each new lowest β, ends at β = lo2 within d steps.
+    In the cone coordinates (α, β) of ``cone_coords``, divisibility is the
+    componentwise order, so the minimal points form a staircase.  The
+    points with α = a have β ≡ a·t (mod d), d = cross(ray1, ray2), t = β(v)
+    for a v with α(v) = 1; gcd(t, d) = 1, so walking a up from lo1, keeping
+    each new lowest β, ends at β = lo2 within d steps.
     """
     (x1, y1), (x2, y2) = c.ray1, c.ray2
     d = cross(c.ray1, c.ray2)
     # v = (vx, vy) with vx*y2 - vy*x2 = 1
     vx = pow(y2, -1, abs(x2)) if x2 else y2
     vy = (vx * y2 - 1) // x2 if x2 else 0
-    t = cross(c.ray1, (vx, vy))
+    t = cone_coords(c, (vx, vy))[1]
     points, lowest, a = set(), lo2 + d, lo1
     while lowest != lo2:
         b = lo2 + (a * t - lo2) % d

@@ -1,12 +1,13 @@
-"""The A3 application layer: J_n, the P_n/D_n families, the Laurent
-specialization, Nash-blowup fans, and the verification report."""
+"""The A3 application layer: J_n (the ``jn_bases`` tower, and the product
+expansion ``jn_generators`` that tests and the benchmark compare it with),
+the P_n/D_n families, the Laurent specialization φ, Nash-blowup fans, and
+the verification report."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import ContextMismatch, MatrixOrdering, Poly
 from .fan import cone_of_basis, fan_of_cones, groebner_fan, sweep_start
@@ -153,45 +154,6 @@ def phi_specialize(f: Poly) -> dict:
         k = phi_linear(e)
         out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
-
-
-def laurent_gcd(images) -> list:
-    """Monic gcd over Q of Laurent polynomials given as exponent -> coefficient.
-
-    Q[lambda^(+-1)] is a principal ideal domain whose units are the
-    monomials, so each image is divided by its lowest power of lambda and
-    the gcd is returned as coefficients from lambda^0 upward.  The empty
-    list stands for the zero ideal (no images, or all of them zero).
-    """
-    g = []
-    for f in images:
-        if not f:
-            continue
-        lo = min(f)
-        a = [Fraction(f.get(e, 0)) for e in range(lo, max(f) + 1)]
-        while a:
-            g, a = a, _remainder(g, a)
-    return [c / g[-1] for c in g]
-
-
-def _remainder(a, b):
-    """Remainder of a on division by b, both coefficient lists low to high."""
-    a = list(a)
-    while len(a) >= len(b):
-        q = a[-1] / b[-1]
-        for i, c in enumerate(b, len(a) - len(b)):
-            a[i] -= q * c
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def phi_ideal_is_power(n: int) -> bool:
-    """Whether phi(J_n) = ((lambda - 1)^(n+1)): the gcd of the images is that power."""
-    images = [phi_specialize(g) for g in jn_generators(a3_semigroup(), n).generators]
-    k = n + 1
-    return laurent_gcd(images) == [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .lattice import (
     Cone2,
     Vec,
+    cone_coords,
     contains,
-    cross,
     dual_cone,
     hilbert_basis,
     minimal_points,
@@ -52,10 +52,9 @@ def divides(sg: AffineSemigroup, b: Vec, a: Vec) -> bool:
 def min_common_multiples(sg: AffineSemigroup, a: Vec, b: Vec) -> set:
     """Divisibility-minimal elements of (a + σ^∨) ∩ (b + σ^∨) ∩ Z^2.
 
-    A common multiple is a point whose coordinates α, β (see
-    ``minimal_points``) are at least those of both a and b.
+    A common multiple is a point whose cone coordinates α, β (see
+    ``lattice.cone_coords``) are at least those of both a and b.
     """
     c = sg.dual_cone
-    lo1 = max(cross(a, c.ray2), cross(b, c.ray2))
-    lo2 = max(cross(c.ray1, a), cross(c.ray1, b))
-    return minimal_points(c, lo1, lo2)
+    (a1, a2), (b1, b2) = cone_coords(c, a), cone_coords(c, b)
+    return minimal_points(c, max(a1, b1), max(a2, b2))

@@ -16,7 +16,6 @@ from nashfan.groebner import (
     MarkedBasis,
     buchberger,
     normal_form,
-    s_polynomials,
     standard_monomials,
 )
 from nashfan.lattice import Cone2, contains, multiplicity, validate_fan, vadd
@@ -26,7 +25,6 @@ from nashfan.nash import (
     dn_set,
     jn_generators,
     l_vector,
-    phi_ideal_is_power,
     phi_linear,
     phi_specialize,
     pn_family,
@@ -35,6 +33,7 @@ from nashfan.nash import (
 )
 from nashfan.semigroup import divides, min_common_multiples
 
+from oracles import phi_ideal_is_power, s_polynomials
 from test_semigroup import mcm_oracle, random_member
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"

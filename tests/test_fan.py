@@ -43,7 +43,7 @@ def test_cone_of_basis_examples(a3, jn_basis):
         assert gc.cone == Cone2((2, -1), l_vector(n))
 
 
-def test_interior_weight_examples(a3, jn_basis):
+def test_two_zero_lies_strictly_inside_the_cone_of_gb_j1(a3, jn_basis):
     sg, _ = a3
     gc1 = cone_of_basis(jn_basis(1))
     assert vadd(gc1.cone.ray1, gc1.cone.ray2) == (2, 0)
@@ -55,14 +55,7 @@ def test_interior_weight_examples(a3, jn_basis):
                 assert vdot(vsub(mark, e), w) > 0
 
 
-def test_interior_weight_of_quadrant():
-    from nashfan.fan import GroebnerCone
-    # interior weight depends only on the cone geometry
-    gc = GroebnerCone(Cone2((1, 0), (0, 1)), None)
-    assert vadd(gc.cone.ray1, gc.cone.ray2) == (1, 1)
-
-
-def test_basis_at_weight_examples(a3, jn_basis):
+def test_gb_j1_is_unchanged_by_weight_refine_at_interior_weights(a3, jn_basis):
     sg, ordering = a3
     ideal = jn_generators(sg, 1)
     at_20 = buchberger(ideal, weight_refine(ordering, (2, 0)))

@@ -17,17 +17,15 @@ from nashfan.groebner import (
     PairQueueExhausted,
     QuotientNotFinite,
     buchberger,
-    colon_contains,
     ideal_membership,
     normal_form,
-    s_polynomials,
     standard_monomials,
 )
-from nashfan.lattice import Cone2, contains, vadd, vsub
+from nashfan.lattice import Cone2, contains, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
-from nashfan.semigroup import AffineSemigroup, divides, is_member
+from nashfan.semigroup import AffineSemigroup, divides
 
-from enumeration import enumerate_below
+from oracles import enumerate_below, s_polynomials
 from test_nash import cyclic_cones
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
@@ -134,16 +132,24 @@ def random_kernel_poly(sg, rng):
 def test_kernel_divisibility_agrees_with_divides():
     """x^q reduces x^p to zero iff divides(q, p), for all p, q in a box.
 
-    Divisibility is invariant under translation, so the box is moved by a
-    multiple of an interior point of the exponent cone until it lies in S.
+    ``_reduce`` and ``divides`` both read ``lattice.cone_coords``, so each
+    (p, q) is also checked against the definition of σ^∨, which uses
+    neither: p - q pairs nonnegatively with both rays of σ.  Divisibility
+    is invariant under translation, so the box is moved by a multiple of
+    an interior point of the exponent cone until, by that definition, it
+    lies in S.
     """
     box = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
     for c in KERNEL_CONES:
         sg = AffineSemigroup.from_support_cone(c)
         ord = sweep_start(sg)
         inner = vadd(sg.dual_cone.ray1, sg.dual_cone.ray2)
+
+        def in_dual(v):
+            return vdot(v, sg.support_cone.ray1) >= 0 and vdot(v, sg.support_cone.ray2) >= 0
+
         k = 0
-        while not all(is_member(sg, (p[0] + k * inner[0], p[1] + k * inner[1])) for p in box):
+        while not all(in_dual((p[0] + k * inner[0], p[1] + k * inner[1])) for p in box):
             k += 1
         mono = {p: Poly.monomial(sg, (p[0] + k * inner[0], p[1] + k * inner[1])) for p in box}
         for p in box:
@@ -151,6 +157,7 @@ def test_kernel_divisibility_agrees_with_divides():
                 (mark,) = mono[q].terms
                 reduced = groebner._reduce(mono[p], [(mono[q], mark)], ord).is_zero
                 assert reduced == divides(sg, q, p), (c, p, q)
+                assert reduced == in_dual(vsub(p, q)), (c, p, q)
 
 
 def monic_products(sg, ord, n):
@@ -557,21 +564,10 @@ def test_ideal_membership_examples(a3, jn_basis):
         basis_n = jn_basis(n)
         for g, _ in jn_basis(n - 1).elements:
             assert ideal_membership(uv_minus_1 * g, basis_n)
-
-
-def test_colon_contains_examples(a3, jn_basis):
-    sg, _ = a3
-    uv_minus_1 = Poly.monomial(sg, (1, 1)) - 1
-    one = Poly.monomial(sg, (0, 0))
-    for n in (2, 3):
-        basis_n = jn_basis(n)
-        for h, _ in jn_basis(n - 1).elements:
-            assert colon_contains(basis_n, uv_minus_1, h)
-    assert not colon_contains(jn_basis(1), uv_minus_1, one)
-    g0, _ = jn_basis(1).elements[0]
-    assert colon_contains(jn_basis(1), uv_minus_1, g0)
-    with pytest.raises(ValueError):
-        colon_contains(jn_basis(1), Poly.zero(sg), one)
+    # uv - 1 lies in I but not in J_1 = I^2; times an element of J_1 it does
+    assert not ideal_membership(uv_minus_1, basis)
+    g0, _ = basis.elements[0]
+    assert ideal_membership(uv_minus_1 * g0, basis)
 
 
 def test_basis_json_round_trip(a3, jn_basis):

@@ -15,9 +15,7 @@ from nashfan.nash import (
     jn_bases,
     jn_generators,
     l_vector,
-    laurent_gcd,
     nash_fan,
-    phi_ideal_is_power,
     phi_linear,
     phi_specialize,
     pn_family,
@@ -26,6 +24,8 @@ from nashfan.nash import (
     verify_paper,
 )
 from nashfan.semigroup import AffineSemigroup, divides
+
+from oracles import laurent_gcd, phi_ideal_is_power
 
 N_RANGE = range(1, 13)
 

@@ -7,7 +7,7 @@ import pytest
 from nashfan.lattice import Cone2, vadd, vdot, vsub
 from nashfan.semigroup import AffineSemigroup, divides, is_member, min_common_multiples
 
-from enumeration import InvalidWeight, enumerate_below
+from oracles import InvalidWeight, enumerate_below
 
 
 def mcm_oracle(sg, a, b):
