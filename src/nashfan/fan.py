@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MatrixOrdering, initial_form
-from .groebner import Ideal, MarkedBasis, buchberger, interreduce, normal_form
+from .groebner import Ideal, MarkedBasis, buchberger, interreduce, normal_form, standard_monomials
 from .lattice import (
     Cone2,
     Fan2,
@@ -85,10 +85,15 @@ def groebner_fan(first: MarkedBasis) -> list:
     the marks of H generate.  The lifts are thus a Groebner basis of J_n
     under the new ordering, and one inter-reduction makes it reduced.  All
     of this needs w in the closure of G's cone, so G is flipped only there.
+
+    Step 2 stops at the colength of ``first``: w lies inside σ, so in_w(J_n)
+    has the initial ideal of J_n under w refined by a term order, and keeps
+    its colength.
     """
     sg = first.sg
     if first.ordering != sweep_start(sg):
         raise ValueError("the sweep starts from the reduced basis under sweep_start(sg)")
+    colength = len(standard_monomials(first))
     cones = []
     basis = first
     frontier = sg.support_cone.ray1
@@ -103,7 +108,8 @@ def groebner_fan(first: MarkedBasis) -> list:
         if len(cones) >= 10 ** 4:
             raise SweepStalled("more than 10000 cones; sweep is not terminating")
         ord = MatrixOrdering((frontier, rot_ccw(frontier)), sg)
-        flip = buchberger(Ideal(initial_form(frontier, g) for g, _ in basis.elements), ord)
+        initial = Ideal((initial_form(frontier, g) for g, _ in basis.elements), colength)
+        flip = buchberger(initial, ord)
         basis = interreduce([(h - normal_form(h, basis), m) for h, m in flip.elements], ord)
 
 

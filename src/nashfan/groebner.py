@@ -9,12 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import cone_coords, vsub
+from .lattice import cone_coords, points_below, vsub
 from .semigroup import AffineSemigroup, min_common_multiples
 
 
 class QuotientNotFinite(ValueError):
-    """Standard monomial enumeration exceeded its cap without closing."""
+    """The marks leave infinitely many standard monomials."""
 
 
 class PairQueueExhausted(RuntimeError):
@@ -23,7 +23,10 @@ class PairQueueExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Ideal:
+    """Generators, and the colength dim S/I if known, at which ``buchberger`` stops."""
+
     generators: tuple
+    colength: int | None = None
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -184,110 +187,65 @@ def _primitive(f: Poly, mark) -> Poly:
     return Poly._make(f.sg, {e: c // k for e, c in terms.items()})
 
 
-def _connected(ab, basis, mcms, reduced, i, j, m) -> bool:
-    """True iff working elements i and j are joined in the graph at degree m.
-
-    Its vertices are the elements whose mark divides m.  Two of them, a < b,
-    are joined when m is no minimal common multiple of their marks (then
-    one properly divides m, as m is a common multiple), or when the pair
-    (a, b, m) has already been reduced.  ``ab`` maps every mark and every
-    minimal common multiple to its cone coordinates (α, β) (see
-    ``lattice.cone_coords``), so each divisibility test is two comparisons.
-    """
-    am, bm = ab[m]
-    verts = [k for k, (_, mk) in enumerate(basis) if (c := ab[mk])[0] <= am and c[1] <= bm]
-    seen, stack = {i}, [i]
-    while stack:
-        a = stack.pop()
-        for b in verts:
-            if b in seen:
-                continue
-            pair = (a, b) if a < b else (b, a)
-            if m not in mcms[pair] or pair + (m,) in reduced:
-                if b == j:
-                    return True
-                seen.add(b)
-                stack.append(b)
-    return False
-
-
 def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6) -> MarkedBasis:
     """The unique reduced Groebner basis of the ideal under the ordering.
 
-    An S-pair (i, j, m), with m a minimal common multiple of the two marks,
-    is skipped unreduced when ``_connected`` joins i and j at degree m (the
-    chain criterion of Gebauer and Moeller, with several minimal common
-    multiples per pair).  This is sound: along a path i = k0, ..., kr = j
-    the S-polynomial telescopes into the sum of the S-polynomials of its
-    edges at m.  An edge whose marks have a minimal common multiple m'
-    properly dividing m contributes x^(m - m') times the S-polynomial at
-    m', and m' lies strictly below m; any other edge is a pair already
-    reduced at m.  Divisibility in S is well-founded, so induction on m
-    gives every S-polynomial a standard representation by the final
-    working basis.
-
-    A pair of two monomials is skipped before the criterion is asked: both
-    working elements are primitive, so they are x^mi and x^mj, and their
-    S-polynomial x^m - x^m is identically 0.  It is recorded as reduced at
-    m, which is sound for the argument above, since 0 has the empty
-    standard representation.  ``max_reductions`` caps the S-pairs actually
-    reduced; pairs skipped for either reason do not count.
+    Each generator, by increasing leading monomial, then each S-pair
+    (i, j, m), m a minimal common multiple of the two marks, is reduced by
+    the working basis and its remainder added.  Given the ideal's
+    ``colength``, the run stops once the working marks leave exactly that
+    many standard monomials, checked after each addition and before its
+    pairs are pushed (Traverso, J. Symb. Comput. 1996): the marks' standard
+    set contains the ideal's, so equal sizes make the working basis a
+    Groebner basis.  A colength too large could stop early; one too small
+    never stops.  ``max_reductions`` caps the S-pairs reduced.
 
     The working basis is fraction-free: every element, generators included,
     is stored as a primitive integer polynomial (coprime coefficients) with
     positive lc, never divided by its lc.  The S-polynomial of (i, j, m) is
     (lj/k) x^(m - mi) gi - (li/k) x^(m - mj) gj with k = gcd(li, lj), and
     ``_reduce`` pseudo-divides, so both are nonzero multiples of their monic
-    counterparts and the argument above holds unchanged.  Only the final
-    pass (``interreduce``) divides each kept element by its lc, which may
-    leave Fractions.
+    counterparts.  Only the final pass (``interreduce``) divides each kept
+    element by its lc, which may leave Fractions.
     """
     sg = ord.sg
     dual = sg.dual_cone
     basis = []
     heap = []
-    mcms = {}
-    ab = {}
-    reduced = set()
     reductions = 0
     tiebreak = itertools.count()
 
-    def insert(f):
+    def insert(f) -> bool:
         r = _reduce(f, basis, ord)
         if r.is_zero:
-            return
+            return False
         mr = leading_monomial(ord, r)
         j = len(basis)
         basis.append((_primitive(r, mr), mr))
-        ab[mr] = cone_coords(dual, mr)
+        if ideal.colength is not None:
+            std = points_below(dual, [m for _, m in basis])
+            if std is not None and len(std) == ideal.colength:
+                return True
         for i in range(j):
-            mcms[i, j] = min_common_multiples(sg, basis[i][1], mr)
-            for m in mcms[i, j]:
-                ab[m] = cone_coords(dual, m)
+            for m in min_common_multiples(sg, basis[i][1], mr):
                 heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))
+        return False
 
     # reduce-on-insert keeps the working basis small from the start
     gens = [(leading_monomial(ord, g), g) for g in ideal.generators]
-    for m, g in sorted(gens, key=lambda mg: ord.key(mg[0])):
-        insert(_primitive(g, m))
+    stopped = any(insert(_primitive(g, m)) for m, g in sorted(gens, key=lambda mg: ord.key(mg[0])))
 
-    while heap:
+    while heap and not stopped:
         _, _, i, j, m = heapq.heappop(heap)
-        (gi, mi), (gj, mj) = basis[i], basis[j]
-        if len(gi.terms) == 1 and len(gj.terms) == 1:
-            reduced.add((i, j, m))
-            continue
-        if _connected(ab, basis, mcms, reduced, i, j, m):
-            continue
         if reductions >= max_reductions:
             raise PairQueueExhausted(f"more than {max_reductions} S-pair reductions")
         reductions += 1
-        reduced.add((i, j, m))
+        (gi, mi), (gj, mj) = basis[i], basis[j]
         li, lj = gi.terms[mi], gj.terms[mj]
         if li != lj:
             k = math.gcd(li, lj)
             gi, gj = gi * (lj // k), gj * (li // k)
-        insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
+        stopped = insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
 
     return interreduce(basis, ord)
 
@@ -316,34 +274,12 @@ def interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
     return MarkedBasis(tuple(kept), ord)
 
 
-def standard_monomials(basis: MarkedBasis, cap: int = 10 ** 5) -> set:
-    """Semigroup members outside the initial ideal of the basis.
-
-    The standard set is closed under divisors, so a search from the unit
-    monomial along generator additions visits all of it.
-    """
-    sg = basis.sg
-    dual = sg.dual_cone
-    marks_ab = [cone_coords(dual, m) for m in basis.marks()]
-
-    def standard(e):
-        a, b = cone_coords(dual, e)
-        return not any(a >= am and b >= bm for am, bm in marks_ab)
-
-    if not standard((0, 0)):
-        return set()
-    seen = {(0, 0)}
-    queue = [(0, 0)]
-    while queue:
-        e = queue.pop()
-        for g in sg.generators:
-            e2 = (e[0] + g[0], e[1] + g[1])
-            if e2 not in seen and standard(e2):
-                seen.add(e2)
-                queue.append(e2)
-                if len(seen) > cap:
-                    raise QuotientNotFinite(f"more than {cap} standard monomials")
-    return seen
+def standard_monomials(basis: MarkedBasis) -> set:
+    """Semigroup members that no mark divides, by ``lattice.points_below``."""
+    std = points_below(basis.sg.dual_cone, basis.marks())
+    if std is None:
+        raise QuotientNotFinite("no mark lies on one of the rays of the exponent cone")
+    return std
 
 
 def ideal_membership(f: Poly, basis: MarkedBasis) -> bool:

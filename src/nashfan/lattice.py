@@ -110,14 +110,12 @@ def multiplicity(c: Cone2) -> int:
     return cross(c.ray1, c.ray2)
 
 
-def minimal_points(c: Cone2, lo1: int, lo2: int) -> set:
-    """Divisibility-minimal lattice points m with α(m) >= lo1, β(m) >= lo2.
+def _columns(c: Cone2):
+    """(d, t, point): column α = a holds the lattice points with β ≡ a·t (mod d).
 
-    In the cone coordinates (α, β) of ``cone_coords``, divisibility is the
-    componentwise order, so the minimal points form a staircase.  The
-    points with α = a have β ≡ a·t (mod d), d = cross(ray1, ray2), t = β(v)
-    for a v with α(v) = 1; gcd(t, d) = 1, so walking a up from lo1, keeping
-    each new lowest β, ends at β = lo2 within d steps.
+    d = cross(ray1, ray2) and t = β(v) for a v with α(v) = 1, so
+    gcd(t, d) = 1; point(a, b) is the lattice point with cone coordinates
+    (a, b) of ``cone_coords``.
     """
     (x1, y1), (x2, y2) = c.ray1, c.ray2
     d = cross(c.ray1, c.ray2)
@@ -125,12 +123,42 @@ def minimal_points(c: Cone2, lo1: int, lo2: int) -> set:
     vx = pow(y2, -1, abs(x2)) if x2 else y2
     vy = (vx * y2 - 1) // x2 if x2 else 0
     t = cone_coords(c, (vx, vy))[1]
+    return d, t, lambda a, b: ((a * x1 + b * x2) // d, (a * y1 + b * y2) // d)
+
+
+def minimal_points(c: Cone2, lo1: int, lo2: int) -> set:
+    """Divisibility-minimal lattice points m with α(m) >= lo1, β(m) >= lo2.
+
+    In the cone coordinates (α, β) of ``cone_coords``, divisibility is the
+    componentwise order, so the minimal points form a staircase.  Walking
+    the columns of ``_columns`` up from lo1, keeping each new lowest β,
+    ends at β = lo2 within d steps.
+    """
+    d, t, point = _columns(c)
     points, lowest, a = set(), lo2 + d, lo1
     while lowest != lo2:
         b = lo2 + (a * t - lo2) % d
         if b < lowest:
             lowest = b
-            points.add(((a * x1 + b * x2) // d, (a * y1 + b * y2) // d))
+            points.add(point(a, b))
+        a += 1
+    return points
+
+
+def points_below(c: Cone2, corners) -> set | None:
+    """The lattice points of c that no corner divides, or None if infinitely many.
+
+    They are finitely many iff a corner lies on each ray of c.  The walk
+    takes the columns of ``_columns`` from α = 0, each up to the lowest β
+    of the corners at or left of it, until the corner with β = 0.
+    """
+    coords = [cone_coords(c, p) for p in corners]
+    if all(a for a, _ in coords) or all(b for _, b in coords):
+        return None
+    d, t, point = _columns(c)
+    points, a = set(), 0
+    while height := min(b for am, b in coords if am <= a):
+        points.update(point(a, b) for b in range(a * t % d, height, d))
         a += 1
     return points
 

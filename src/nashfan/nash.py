@@ -48,11 +48,16 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     in for GB(J_0) = I).  Reuse a basis only under the ordering that made
     it: fed to a far ordering, these short generators can make Buchberger's
     coefficients blow up.
+
+    ``buchberger`` stops at the colength N = (n+1)(n+2)/2 of J_n: I is the
+    maximal ideal of the identity of the torus, a smooth point, so
+    dim S/I^(n+1) counts the monomials of degree <= n in two variables.
     """
     binomials = [Poly.monomial(sg, a) - 1 for a in sg.generators]
     gens = binomials
-    while True:
-        basis = buchberger(Ideal(g * b for g in gens for b in binomials), ord)
+    for n in itertools.count(1):
+        products = tuple(g * b for g in gens for b in binomials)
+        basis = buchberger(Ideal(products, (n + 1) * (n + 2) // 2), ord)
         yield basis
         gens = [g for g, _ in basis.elements]
 

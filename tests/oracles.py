@@ -1,24 +1,35 @@
 """Reference computations that the tests compare the engine against.
 
 Nothing under ``src/nashfan`` calls these: bounded enumeration of semigroup
-members, S-polynomials at every minimal common multiple, and the ℚ[λ] gcd
-that checks φ(J_n) = ((λ - 1)^(n+1)).
+members, S-polynomials at every minimal common multiple, the ℚ[λ] gcd that
+checks φ(J_n) = ((λ - 1)^(n+1)), and a certificate that a basis is the
+reduced basis of J_n which never calls ``buchberger``.
 """
 
 import math
 from fractions import Fraction
 
-from nashfan.lattice import vdot, vsub
+from nashfan.lattice import vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_generators, phi_specialize
-from nashfan.semigroup import AffineSemigroup, is_member, min_common_multiples
+from nashfan.semigroup import AffineSemigroup, min_common_multiples
 
 
 class InvalidWeight(ValueError):
     """Weight vector does not bound the enumeration region."""
 
 
+def in_dual(sg, p) -> bool:
+    """p lies in σ^∨: it pairs nonnegatively with both rays of σ."""
+    sigma = sg.support_cone
+    return vdot(p, sigma.ray1) >= 0 and vdot(p, sigma.ray2) >= 0
+
+
 def enumerate_below(sg, weight, bound: int) -> list:
-    """All members a with a.weight <= bound, sorted by weight then lex."""
+    """All members a with a.weight <= bound, sorted by weight then lex.
+
+    Membership is the definition of σ^∨ (``in_dual``), not the engine's
+    cone coordinates.
+    """
     rho1, rho2 = sg.dual_cone.ray1, sg.dual_cone.ray2
     w1, w2 = vdot(weight, rho1), vdot(weight, rho2)
     if w1 <= 0 or w2 <= 0:
@@ -33,7 +44,7 @@ def enumerate_below(sg, weight, bound: int) -> list:
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
             p = (x, y)
-            if is_member(sg, p) and vdot(weight, p) <= bound:
+            if in_dual(sg, p) and vdot(weight, p) <= bound:
                 found.append(p)
     found.sort(key=lambda p: (vdot(weight, p), p))
     return found
@@ -85,3 +96,67 @@ def phi_ideal_is_power(n: int) -> bool:
     images = [phi_specialize(g) for g in jn_generators(a3_semigroup(), n).generators]
     k = n + 1
     return laurent_gcd(images) == [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+
+
+def _binomials(x: int, n: int) -> list:
+    """[C(x, 0), ..., C(x, n)] with C(x, k) = x(x-1)...(x-k+1)/k!, exact for x < 0 too."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (x - k) // (k + 1))
+    return row
+
+
+def in_jn(f, n: int) -> bool:
+    """Whether f lies in J_n = I^(n+1), by its Hasse derivatives at the identity.
+
+    I = (x^a - 1) is the maximal ideal of the identity point of the torus,
+    which is smooth, and J_n is I-primary.  So f = Σ c_e x^e lies in J_n
+    iff every Hasse derivative of order <= n vanishes there:
+    Σ c_e C(e1, i) C(e2, j) = 0 for all i + j <= n.
+    """
+    moments = {}
+    for (e1, e2), c in f.terms.items():
+        b1, b2 = _binomials(e1, n), _binomials(e2, n)
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                moments[i, j] = moments.get((i, j), 0) + c * b1[i] * b2[j]
+    return not any(moments.values())
+
+
+def standard_set(basis):
+    """The members that no mark of the basis divides; None if infinitely many.
+
+    Divisibility is read from the definition of σ^∨ (``in_dual``), not from
+    cone coordinates.  The set is finite iff a mark lies on each ray of
+    σ^∨, that is, pairs to 0 with a ray of σ.  Then with m1 ⊥ ray1 and
+    m2 ⊥ ray2 of σ, a member e that neither divides has e·ray2 < m1·ray2
+    and e·ray1 < m2·ray1, so w·e < w·m1 + w·m2 for w = ray1 + ray2, and
+    enumerating up to 2·max(w·mark) finds it.
+    """
+    sg, marks = basis.sg, basis.marks()
+    rays = (sg.support_cone.ray1, sg.support_cone.ray2)
+    if not all(any(vdot(m, r) == 0 for m in marks) for r in rays):
+        return None
+    w = vadd(*rays)
+    return {
+        e for e in enumerate_below(sg, w, 2 * max(vdot(w, m) for m in marks))
+        if not any(in_dual(sg, vsub(e, m)) for m in marks)
+    }
+
+
+def certified(basis, n: int) -> bool:
+    """Whether a validated ``MarkedBasis`` is the reduced basis of J_n.
+
+    If every element lies in J_n (``in_jn``), the marks lie in in(J_n), so
+    their standard set contains that of J_n, which has N = (n+1)(n+2)/2
+    members.  Exactly N standard monomials then make the marks generate
+    in(J_n), so the basis is a Groebner basis of J_n, and reduced by its
+    validation.  Neither ``buchberger`` nor the engine's cone coordinates
+    are used.
+    """
+    std = standard_set(basis)
+    return (
+        std is not None
+        and len(std) == (n + 1) * (n + 2) // 2
+        and all(in_jn(g, n) for g, _ in basis.elements)
+    )

@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 
 import nashfan.fan as fan_module
-from nashfan import groebner
 from nashfan.algebra import Poly, initial_form, leading_monomial, weight_refine
 from nashfan.fan import cone_of_basis, fan_of_cones, fan_to_json, groebner_fan, sweep_start
-from nashfan.groebner import Ideal, MarkedBasis, PairQueueExhausted, buchberger, standard_monomials
+from nashfan.groebner import Ideal, MarkedBasis, buchberger, standard_monomials
 from nashfan.lattice import Cone2, multiplicity, validate_fan, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 from nashfan.semigroup import AffineSemigroup
 
+from oracles import certified, standard_set
 from test_nash import cyclic_cones
 
 GOLDEN_7_3 = Path(__file__).parent / "golden" / "cone_0_1_7_-3_fan_n2.json"
@@ -156,13 +156,18 @@ def test_every_fan_cone_has_the_colength_of_a_smooth_point():
     """dim S/J_n = (n+1)(n+2)/2 on every cone of the sweep that nash_fan runs.
 
     I = (x^a - 1) is the maximal ideal of the smooth point 1 of the torus,
-    so J_n = I^(n+1) has that colength under every ordering; the count does
-    not call buchberger.
+    so J_n = I^(n+1) has that colength under every ordering.  Every basis
+    passes the certificate of ``oracles.certified``, which calls neither
+    buchberger nor the engine's standard-monomial walk, and that walk
+    agrees with the certificate's enumeration.
     """
     for c, n in SWEEP_CASES:
         sg = AffineSemigroup.from_support_cone(c)
         for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), n)):
-            assert len(standard_monomials(gc.basis)) == (n + 1) * (n + 2) // 2, (c, n, gc.cone)
+            std = standard_monomials(gc.basis)
+            assert len(std) == (n + 1) * (n + 2) // 2, (c, n, gc.cone)
+            assert std == standard_set(gc.basis), (c, n, gc.cone)
+            assert certified(gc.basis, n), (c, n, gc.cone)
 
 
 def initial_basis(w, basis):
@@ -215,42 +220,6 @@ def test_every_flip_matches_the_full_buchberger_step(monkeypatch):
                 assert initial_form(w, f) == h and mf == m
                 assert leading_monomial(ord, f) == leading_monomial(ord, h) == m
     assert mixed
-
-
-def test_monomial_pairs_are_skipped_uncounted(monkeypatch):
-    """A flip's input mixes monomials and binomials; every pair of two
-    monomials is skipped before the pair criterion and not counted by
-    max_reductions, and the basis is in_w of the full Buchberger step."""
-    sg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
-    cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
-    prev, gc = cones[1], cones[2]
-    w, ord = prev.cone.ray2, gc.basis.ordering
-    ideal = Ideal(initial_form(w, g) for g, _ in prev.basis.elements)
-    assert {len(g.terms) == 1 for g in ideal.generators} == {True, False}
-    reference = buchberger(Ideal(g for g, _ in prev.basis.elements), ord)
-
-    verdicts, pushed = [], []
-    connected, mcm = groebner._connected, groebner.min_common_multiples
-
-    def recording_connected(*args):
-        verdicts.append(connected(*args))
-        return verdicts[-1]
-
-    def recording_mcm(*args):
-        result = mcm(*args)
-        pushed.append(len(result))
-        return result
-
-    monkeypatch.setattr(groebner, "_connected", recording_connected)
-    monkeypatch.setattr(groebner, "min_common_multiples", recording_mcm)
-    expected = buchberger(ideal, ord)
-    assert expected == initial_basis(w, reference)
-    reduced = verdicts.count(False)
-    # each pair popped either is a pair of monomials or asks the criterion
-    assert sum(pushed) > len(verdicts) and reduced > 0
-    assert buchberger(ideal, ord, max_reductions=reduced) == expected
-    with pytest.raises(PairQueueExhausted):
-        buchberger(ideal, ord, max_reductions=reduced - 1)
 
 
 def test_sweep_keeps_its_non_integer_coefficients():

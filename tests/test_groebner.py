@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -25,7 +26,7 @@ from nashfan.lattice import Cone2, contains, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
 from nashfan.semigroup import AffineSemigroup, divides
 
-from oracles import enumerate_below, s_polynomials
+from oracles import certified, enumerate_below, in_dual, in_jn, s_polynomials, standard_set
 from test_nash import cyclic_cones
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
@@ -144,12 +145,8 @@ def test_kernel_divisibility_agrees_with_divides():
         sg = AffineSemigroup.from_support_cone(c)
         ord = sweep_start(sg)
         inner = vadd(sg.dual_cone.ray1, sg.dual_cone.ray2)
-
-        def in_dual(v):
-            return vdot(v, sg.support_cone.ray1) >= 0 and vdot(v, sg.support_cone.ray2) >= 0
-
         k = 0
-        while not all(in_dual((p[0] + k * inner[0], p[1] + k * inner[1])) for p in box):
+        while not all(in_dual(sg, (p[0] + k * inner[0], p[1] + k * inner[1])) for p in box):
             k += 1
         mono = {p: Poly.monomial(sg, (p[0] + k * inner[0], p[1] + k * inner[1])) for p in box}
         for p in box:
@@ -157,7 +154,7 @@ def test_kernel_divisibility_agrees_with_divides():
                 (mark,) = mono[q].terms
                 reduced = groebner._reduce(mono[p], [(mono[q], mark)], ord).is_zero
                 assert reduced == divides(sg, q, p), (c, p, q)
-                assert reduced == in_dual(vsub(p, q)), (c, p, q)
+                assert reduced == in_dual(sg, vsub(p, q)), (c, p, q)
 
 
 def monic_products(sg, ord, n):
@@ -429,65 +426,31 @@ def test_buchberger_criterion_on_every_fan_cone():
             assert_s_polynomials_reduce_to_zero(gc.basis)
 
 
-def test_pruned_s_pairs_reduce_to_zero(a3, monkeypatch):
-    """Each S-polynomial that the pair criterion skips reduces to zero by the
-    reference division with the basis that buchberger returns."""
-    pruned = []
-    connected = groebner._connected
-
-    def recording(sg, basis, mcms, reduced, i, j, m):
-        hit = connected(sg, basis, mcms, reduced, i, j, m)
-        if hit:
-            (gi, mi), (gj, mj) = basis[i], basis[j]
-            pruned.append(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
-        return hit
-
-    checked = []
-
-    def checking(ideal, ord):
-        pruned.clear()
-        result = buchberger(ideal, ord)
-        for s in pruned:
-            assert reference_reduce(s, result.elements, ord).is_zero
-        checked.append(len(pruned))
-        return result
-
-    monkeypatch.setattr(groebner, "_connected", recording)
-    monkeypatch.setattr(nash_module, "buchberger", checking)
-    monkeypatch.setattr(fan_module, "buchberger", checking)
-
-    sg, ordering = a3
-    jn_basis_at(sg, ordering, 8)
-    assert sum(checked) > 0
-    checked.clear()
-    for c in CRITERION_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
-        groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
-    assert sum(checked) > 0
-
-
 def test_cap_counts_only_reduced_pairs(a3, monkeypatch):
-    verdicts = []
-    connected = groebner._connected
+    """With no colength every pushed S-pair is reduced, so the cap is exact:
+    the number of pairs pushed suffices and one less raises."""
+    pushed = []
+    mcm = groebner.min_common_multiples
 
     def recording(*args):
-        verdicts.append(connected(*args))
-        return verdicts[-1]
+        result = mcm(*args)
+        pushed.append(len(result))
+        return result
 
-    monkeypatch.setattr(groebner, "_connected", recording)
+    monkeypatch.setattr(groebner, "min_common_multiples", recording)
     sg, ordering = a3
     ideal = jn_generators(sg, 3)
     expected = buchberger(ideal, ordering)
-    reduced = verdicts.count(False)
-    assert 0 < reduced < len(verdicts)
-    assert buchberger(ideal, ordering, max_reductions=reduced).elements == expected.elements
+    pairs = sum(pushed)
+    assert pairs > 0
+    assert buchberger(ideal, ordering, max_reductions=pairs).elements == expected.elements
     with pytest.raises(PairQueueExhausted):
-        buchberger(ideal, ordering, max_reductions=reduced - 1)
+        buchberger(ideal, ordering, max_reductions=pairs - 1)
 
 
 def test_one_min_common_multiples_call_per_pair(a3, monkeypatch):
     """buchberger computes the mcms of each pair of working elements once,
-    when the later one is inserted, and the pair criterion reuses them."""
+    when the later one is inserted and its pairs are pushed."""
     calls = []
     mcm = groebner.min_common_multiples
 
@@ -520,7 +483,51 @@ def test_standard_monomials_not_finite(a3):
     sg, ordering = a3
     basis = buchberger(Ideal((Poly.monomial(sg, (1, 0)) - 1,)), ordering)
     with pytest.raises(QuotientNotFinite):
-        standard_monomials(basis, cap=50)
+        standard_monomials(basis)
+
+
+def test_tower_bases_are_certified(jn_basis):
+    """Every A3 tower basis to n = 16 passes the certificate, which calls
+    neither buchberger nor the engine's standard-monomial walk."""
+    for n in range(1, 17):
+        basis = jn_basis(n)
+        assert certified(basis, n), n
+        assert standard_monomials(basis) == standard_set(basis), n
+
+
+def test_certificate_rejects_wrong_bases(a3, jn_basis):
+    """Negative controls: no element of GB(J_(n-1)) lies in J_n, and a basis
+    with one coefficient perturbed or one element dropped is not certified."""
+    sg, _ = a3
+    assert not any(in_jn(Poly.monomial(sg, a) - 1, 1) for a in sg.generators)
+    for n in range(2, 11):
+        assert not any(in_jn(g, n) for g, _ in jn_basis(n - 1).elements), n
+    for n in range(1, 11):
+        basis = jn_basis(n)
+        elems = basis.elements
+        k = n % len(elems)
+        g, m = elems[k]
+        e = min(g.support() - {m})
+        perturbed = elems[:k] + ((g + Poly.monomial(sg, e), m),) + elems[k + 1:]
+        assert not certified(MarkedBasis(perturbed, basis.ordering), n), n
+        assert not certified(MarkedBasis(elems[:k] + elems[k + 1:], basis.ordering), n), n
+
+
+def test_colength_stop_fires_before_any_s_pair(a3, jn_basis, monkeypatch):
+    """jn_bases gives each ideal of the A3 tower its colength N, and to n = 12
+    the stop fires during reduce-on-insert: under max_reductions=0 not one
+    S-pair is reduced, and the bases are the jn_basis fixture's."""
+    expected = [jn_basis(n) for n in range(1, 13)]
+    colengths = []
+
+    def no_pairs(ideal, ord):
+        colengths.append(ideal.colength)
+        return buchberger(ideal, ord, max_reductions=0)
+
+    monkeypatch.setattr(nash_module, "buchberger", no_pairs)
+    sg, ordering = a3
+    assert list(itertools.islice(nash_module.jn_bases(sg, ordering), 12)) == expected
+    assert colengths == [(n + 1) * (n + 2) // 2 for n in range(1, 13)]
 
 
 def test_quotient_dimension_matches_linear_algebra_oracle(a3, jn_basis):

@@ -13,6 +13,7 @@ from nashfan.lattice import (
     hilbert_basis,
     minimal_points,
     multiplicity,
+    points_below,
     primitive,
     rot_ccw,
     validate_fan,
@@ -221,6 +222,32 @@ def test_minimal_points_translate_with_the_offsets():
         assert minimal_points(c, 1 + du1, du2) == {
             vadd(m, u) for m in hilbert_basis(c) - {c.ray2}
         }
+
+
+def test_points_below_is_the_filtered_box():
+    """points_below against the lattice points of a box that no corner
+    divides, with one corner on each ray and a few random ones; a corner
+    set missing a ray gives None, and a corner at the origin leaves none."""
+    rng = random.Random(59)
+    for _ in range(8):
+        for c in rotations(random_cone(rng)):
+            on_rays = [vscale(rng.randint(1, 3), c.ray1), vscale(rng.randint(1, 3), c.ray2)]
+            span = [(0, 0), *on_rays, vadd(*on_rays)]
+            xs, ys = [p[0] for p in span], [p[1] for p in span]
+            members = [
+                (x, y)
+                for x in range(min(xs), max(xs) + 1)
+                for y in range(min(ys), max(ys) + 1)
+                if contains(c, (x, y))
+            ]
+            corners = on_rays + rng.sample(members, 3)
+            below = {p for p in members if not any(contains(c, vsub(p, q)) for q in corners)}
+            assert points_below(c, corners) == below, (c, corners)
+            for ray in (c.ray1, c.ray2):
+                off_ray = [q for q in corners if cross(q, ray) != 0]
+                assert points_below(c, off_ray) is None, (c, off_ray)
+            assert points_below(c, corners + [(0, 0)]) == set()
+    assert points_below(SIGMA_DUAL, []) is None
 
 
 def test_multiplicity_examples():
