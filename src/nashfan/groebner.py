@@ -51,27 +51,15 @@ class MarkedBasis:
 
     Elements are stored sorted lexicographically by mark so that equal
     bases compare equal regardless of the ordering that produced them.
+    Nothing is checked here: ``interreduce`` defines a reduced basis, and
+    ``from_json`` checks outside input against it.
     """
 
     elements: tuple           # of (Poly, mark) pairs
     ordering: MatrixOrdering
 
     def __post_init__(self):
-        elems = tuple(sorted(self.elements, key=lambda gm: gm[1]))
-        object.__setattr__(self, "elements", elems)
-        dual = self.ordering.sg.dual_cone
-        marks = [m for _, m in elems]
-        if len(set(marks)) != len(marks):
-            raise ValueError("marks must be pairwise distinct")
-        mark_ab = [(m2, *cone_coords(dual, m2)) for m2 in marks]
-        for g, m in elems:
-            if leading_monomial(self.ordering, g) != m or g.coeff(m) != 1:
-                raise ValueError(f"element marked {m} is not monic with that leading monomial")
-            for e in g.support():
-                a, b = cone_coords(dual, e)
-                for m2, am, bm in mark_ab:
-                    if m2 != m and a >= am and b >= bm:
-                        raise ValueError(f"monomial {e} of element {m} is divisible by mark {m2}")
+        object.__setattr__(self, "elements", tuple(sorted(self.elements, key=lambda gm: gm[1])))
 
     @property
     def sg(self) -> AffineSemigroup:
@@ -90,11 +78,23 @@ class MarkedBasis:
 
     @classmethod
     def from_json(cls, ordering: MatrixOrdering, data: dict) -> "MarkedBasis":
+        """Read a basis; raise ValueError naming a mark unless it is reduced:
+        each mark is the leading monomial of its element and ``interreduce``
+        returns the elements unchanged (distinct marks, monic elements, no
+        mark dividing another term).  The inter-reduced marks are a subset
+        of the input's, in order, so the first difference has a bad mark."""
         elems = tuple(
             (Poly.from_json(ordering.sg, e["poly"]), tuple(e["mark"]))
             for e in data["elements"]
         )
-        return cls(elems, ordering)
+        for g, m in elems:
+            if leading_monomial(ordering, g) != m:
+                raise ValueError(f"mark {m} is not the leading monomial of its element")
+        basis = cls(elems, ordering)
+        for gm, kept in itertools.zip_longest(basis.elements, interreduce(elems, ordering).elements):
+            if gm != kept:
+                raise ValueError(f"element marked {gm[1]} is not monic, or a mark divides a term of it")
+        return basis
 
 
 def _reduce(f: Poly, pairs, ord: MatrixOrdering) -> Poly:

@@ -178,26 +178,23 @@ def _angular_cmp(a: Vec, b: Vec) -> int:
 
 
 def cone_from_inequalities(normals: Iterable[Vec], support: Cone2) -> Cone2:
-    """Intersect the half-planes {w : w.n >= 0} with the support cone.
+    """The weights w in the support cone with w.n >= 0 for every normal n.
 
-    Raises NotFullDimensional if the feasible set has empty interior.
+    That is the dual of the cone spanned by the normals and the rays of
+    dual_cone(support), widened in one pass: a normal clockwise of lo
+    replaces lo, one counter-clockwise of hi replaces hi.  Raises
+    NotFullDimensional once the span reaches a half-plane.
     """
-    ns = {primitive(n) for n in normals if n != (0, 0)}
-    candidates = {support.ray1, support.ray2}
-    for n in ns:
-        candidates.add(primitive(rot_ccw(n)))
-        candidates.add(primitive(rot_cw(n)))
-    feasible = [
-        c for c in candidates
-        if contains(support, c) and all(vdot(c, n) >= 0 for n in ns)
-    ]
-    if len(feasible) < 2:
-        raise NotFullDimensional(f"feasible region inside {support} is not 2-dimensional")
-    feasible.sort(key=cmp_to_key(_angular_cmp))
-    lo, hi = feasible[0], feasible[-1]
-    if cross(lo, hi) <= 0:
-        raise NotFullDimensional(f"feasible region inside {support} is not 2-dimensional")
-    return Cone2(lo, hi)
+    dual = dual_cone(support)
+    lo, hi = dual.ray1, dual.ray2
+    for n in normals:
+        if cross(n, lo) > 0:
+            lo = n
+        elif cross(hi, n) > 0:
+            hi = n
+        if cross(lo, hi) <= 0:
+            raise NotFullDimensional(f"feasible region inside {support} is not 2-dimensional")
+    return dual_cone(Cone2(lo, hi))
 
 
 @dataclass(frozen=True)

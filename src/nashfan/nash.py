@@ -43,11 +43,11 @@ def jn_generators(sg: AffineSemigroup, n: int) -> Ideal:
 def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     """GB(J_1), GB(J_2), ... under one fixed ordering, each from the one before.
 
-    J_n = J_(n-1) * I, so the products g * (x^a - 1) of the reduced basis of
-    J_(n-1) with the binomials generate J_n (the binomials themselves stand
-    in for GB(J_0) = I).  Reuse a basis only under the ordering that made
-    it: fed to a far ordering, these short generators can make Buchberger's
-    coefficients blow up.
+    J_n = J_(n-1) * I, so the distinct products g * (x^a - 1) of the reduced
+    basis of J_(n-1) with the binomials generate J_n (the binomials stand in
+    for GB(J_0) = I, so at n = 1 each b_i * b_j comes twice).  Reuse a basis
+    only under the ordering that made it: fed to a far ordering, these short
+    generators can make Buchberger's coefficients blow up.
 
     ``buchberger`` stops at the colength N = (n+1)(n+2)/2 of J_n: I is the
     maximal ideal of the identity of the torus, a smooth point, so
@@ -56,7 +56,7 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     binomials = [Poly.monomial(sg, a) - 1 for a in sg.generators]
     gens = binomials
     for n in itertools.count(1):
-        products = tuple(g * b for g in gens for b in binomials)
+        products = tuple(dict.fromkeys(g * b for g in gens for b in binomials))
         basis = buchberger(Ideal(products, (n + 1) * (n + 2) // 2), ord)
         yield basis
         gens = [g for g, _ in basis.elements]
@@ -263,7 +263,7 @@ def verify_paper(n_max: int) -> VerificationReport:
             ))
 
         if n % 2 == 0:
-            dropped = pn_family(n - 1).points() - fam.points() if n >= 2 else set()
+            dropped = prev_fam.points() - fam.points()
             bad = [
                 m for g, m in basis.elements
                 if m in dropped and phi_specialize(g)

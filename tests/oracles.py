@@ -144,19 +144,35 @@ def standard_set(basis):
     }
 
 
+def reduced(basis, std) -> bool:
+    """Whether each element is monic at its mark, the mark is its top term
+    under the rows of the ordering, no other mark divides the mark (``in_dual``)
+    and every other term lies in std, the standard set of the marks."""
+    sg, rows = basis.sg, basis.ordering.rows
+    marks = [m for _, m in basis.elements]
+    return all(
+        g.coeff(m) == 1
+        and max(g.terms, key=lambda e: tuple(vdot(r, e) for r in rows)) == m
+        and sum(in_dual(sg, vsub(m, m2)) for m2 in marks) == 1  # only m itself
+        and all(e in std for e in g.terms if e != m)
+        for g, m in basis.elements
+    )
+
+
 def certified(basis, n: int) -> bool:
-    """Whether a validated ``MarkedBasis`` is the reduced basis of J_n.
+    """Whether a ``MarkedBasis`` is the reduced basis of J_n.
 
     If every element lies in J_n (``in_jn``), the marks lie in in(J_n), so
     their standard set contains that of J_n, which has N = (n+1)(n+2)/2
     members.  Exactly N standard monomials then make the marks generate
-    in(J_n), so the basis is a Groebner basis of J_n, and reduced by its
-    validation.  Neither ``buchberger`` nor the engine's cone coordinates
-    are used.
+    in(J_n), so the basis is a Groebner basis of J_n, and ``reduced``
+    checks that it is the reduced one.  Neither ``buchberger``, the
+    engine's cone coordinates nor ``MarkedBasis.from_json`` are used.
     """
     std = standard_set(basis)
     return (
         std is not None
         and len(std) == (n + 1) * (n + 2) // 2
+        and reduced(basis, std)
         and all(in_jn(g, n) for g, _ in basis.elements)
     )

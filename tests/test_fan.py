@@ -158,8 +158,9 @@ def test_every_fan_cone_has_the_colength_of_a_smooth_point():
     I = (x^a - 1) is the maximal ideal of the smooth point 1 of the torus,
     so J_n = I^(n+1) has that colength under every ordering.  Every basis
     passes the certificate of ``oracles.certified``, which calls neither
-    buchberger nor the engine's standard-monomial walk, and that walk
-    agrees with the certificate's enumeration.
+    buchberger nor the engine's standard-monomial walk, that walk agrees
+    with the certificate's enumeration, and ``MarkedBasis.from_json``, the
+    check on outside input, reads every basis back unchanged.
     """
     for c, n in SWEEP_CASES:
         sg = AffineSemigroup.from_support_cone(c)
@@ -168,6 +169,8 @@ def test_every_fan_cone_has_the_colength_of_a_smooth_point():
             assert len(std) == (n + 1) * (n + 2) // 2, (c, n, gc.cone)
             assert std == standard_set(gc.basis), (c, n, gc.cone)
             assert certified(gc.basis, n), (c, n, gc.cone)
+            again = MarkedBasis.from_json(gc.basis.ordering, gc.basis.to_json())
+            assert again == gc.basis, (c, n, gc.cone)
 
 
 def initial_basis(w, basis):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,18 +234,26 @@ def test_ideal_rejects_bad_generators(a3):
 
 
 def test_marked_basis_validation(a3):
+    """from_json rejects each way a basis can fail to be reduced with a
+    ValueError, never a KeyError, whose message names the offending mark."""
     sg, ordering = a3
-    u2 = Poly.monomial(sg, (2, 0)) - 1
-    with pytest.raises(ValueError):
-        MarkedBasis(((u2, (0, 0)),), ordering)          # wrong mark
-    with pytest.raises(ValueError):
-        MarkedBasis(((2 * u2, (2, 0)),), ordering)      # not monic
-    with pytest.raises(ValueError):
-        # (3,4) mark divides the (4,4) monomial of the other element
-        MarkedBasis((
-            (Poly.monomial(sg, (3, 4)) - 1, (3, 4)),
-            (Poly.monomial(sg, (4, 4)) - Poly.monomial(sg, (1, 0)), (4, 4)),
-        ), ordering)
+
+    def check(pairs, mark):
+        data = {"elements": [{"poly": g.to_json(), "mark": list(m)} for g, m in pairs]}
+        with pytest.raises(ValueError, match=re.escape(str(mark))):
+            MarkedBasis.from_json(ordering, data)
+
+    def x(e):
+        return Poly.monomial(sg, e)
+
+    u2 = x((2, 0)) - 1
+    v3 = x((3, 4)) - 1
+    check([(u2 - x((1, 0)), (1, 0))], (1, 0))                  # not the leading monomial
+    check([(u2, (1, 1))], (1, 1))                              # not a term
+    check([(2 * u2, (2, 0))], (2, 0))                          # not monic
+    check([(u2, (2, 0)), (x((3, 2)) + x((2, 0)), (3, 2))], (3, 2))  # (2,0) divides a tail term
+    check([(u2, (2, 0)), (u2 - x((1, 0)), (2, 0))], (2, 0))    # equal marks
+    check([(v3, (3, 4)), (x((6, 8)) - 1, (6, 8))], (6, 8))     # (3,4) divides (6,8)
 
 
 def test_normal_form_examples(a3, jn_basis):
@@ -488,16 +497,20 @@ def test_standard_monomials_not_finite(a3):
 
 def test_tower_bases_are_certified(jn_basis):
     """Every A3 tower basis to n = 16 passes the certificate, which calls
-    neither buchberger nor the engine's standard-monomial walk."""
+    neither buchberger nor the engine's standard-monomial walk, and reads
+    back unchanged through ``MarkedBasis.from_json``."""
     for n in range(1, 17):
         basis = jn_basis(n)
         assert certified(basis, n), n
         assert standard_monomials(basis) == standard_set(basis), n
+        assert MarkedBasis.from_json(basis.ordering, basis.to_json()) == basis, n
 
 
 def test_certificate_rejects_wrong_bases(a3, jn_basis):
     """Negative controls: no element of GB(J_(n-1)) lies in J_n, and a basis
-    with one coefficient perturbed or one element dropped is not certified."""
+    with one coefficient perturbed or one element dropped is not certified.
+    Nor is a Groebner basis of J_n that is not reduced: one element doubled,
+    the first element added to the last, or a multiple of an element added."""
     sg, _ = a3
     assert not any(in_jn(Poly.monomial(sg, a) - 1, 1) for a in sg.generators)
     for n in range(2, 11):
@@ -511,6 +524,13 @@ def test_certificate_rejects_wrong_bases(a3, jn_basis):
         perturbed = elems[:k] + ((g + Poly.monomial(sg, e), m),) + elems[k + 1:]
         assert not certified(MarkedBasis(perturbed, basis.ordering), n), n
         assert not certified(MarkedBasis(elems[:k] + elems[k + 1:], basis.ordering), n), n
+        by_key = sorted(elems, key=lambda gm: basis.ordering.key(gm[1]))
+        (g0, _), (g1, m1) = by_key[0], by_key[-1]
+        doubled = elems[:k] + ((2 * g, m),) + elems[k + 1:]
+        summed = tuple((g1 + g0 if m2 == m1 else g2, m2) for g2, m2 in elems)
+        extra = elems + ((g1.shift((1, 1)), vadd(m1, (1, 1))),)
+        for bad in (doubled, summed, extra):
+            assert not certified(MarkedBasis(bad, basis.ordering), n), n
 
 
 def test_colength_stop_fires_before_any_s_pair(a3, jn_basis, monkeypatch):

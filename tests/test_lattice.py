@@ -18,6 +18,7 @@ from nashfan.lattice import (
     rot_ccw,
     validate_fan,
     vadd,
+    vdot,
     vscale,
     vsub,
 )
@@ -279,6 +280,43 @@ def test_cone_from_inequalities_empty_interior():
         cone_from_inequalities([(1, 0), (-1, 0)], Cone2((1, 0), (0, 1)))
     with pytest.raises(NotFullDimensional):
         cone_from_inequalities([(-1, 0), (0, -1)], Cone2((1, 0), (0, 1)))
+
+
+def test_cone_from_inequalities_matches_a_box_of_lattice_points():
+    """Random supports and normals with coordinates up to 12, zero and
+    antiparallel normals included, against the lattice points of a box of
+    radius 30.  Every ray of the feasible cone is a support ray or a normal
+    turned by 90 degrees, so the sum of its rays, an interior point, lies
+    in the box whenever the cone is full-dimensional."""
+    rng = random.Random(23)
+    box = [(x, y) for x in range(-30, 31) for y in range(-30, 31)]
+    raised = 0
+    for _ in range(150):
+        while True:
+            r1, r2 = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(2)]
+            if cross(r1, r2):
+                break
+        support = Cone2(r1, r2)
+        normals = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(rng.randint(0, 4))]
+        if normals and rng.random() < 0.3:
+            normals.append((0, 0))
+        if normals and rng.random() < 0.3:
+            n = rng.choice(normals)
+            normals.append((-2 * n[0], -2 * n[1]))
+        rng.shuffle(normals)
+        dual = dual_cone(support)
+        strict = [v for v in normals if v != (0, 0)] + [dual.ray1, dual.ray2]
+        feasible = {p for p in box if contains(support, p) and all(vdot(p, v) >= 0 for v in normals)}
+        interior = any(all(vdot(p, v) > 0 for v in strict) for p in feasible)
+        try:
+            cone = cone_from_inequalities(normals, support)
+        except NotFullDimensional:
+            raised += 1
+            assert not interior, (support, normals)
+            continue
+        assert interior, (support, normals)
+        assert {p for p in box if contains(cone, p)} == feasible, (support, normals)
+    assert 30 < raised < 120
 
 
 def test_validate_fan_examples():
