@@ -43,23 +43,30 @@ def jn_generators(sg: AffineSemigroup, n: int) -> Ideal:
 def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     """GB(J_1), GB(J_2), ... under one fixed ordering, each from the one before.
 
-    J_n = J_(n-1) * I, so the distinct products g * (x^a - 1) of the reduced
-    basis of J_(n-1) with the binomials generate J_n (the binomials stand in
-    for GB(J_0) = I, so at n = 1 each b_i * b_j comes twice).  Reuse a basis
-    only under the ordering that made it: fed to a far ordering, these short
-    generators can make Buchberger's coefficients blow up.
+    J_n = J_(n-1) * I, so the products g * (x^a - 1) of the reduced basis of
+    J_(n-1) with the binomials generate J_n; the binomials stand in for
+    GB(J_0) = I, and at n = 1 each b_i * b_j is built for i <= j only.  A
+    product is built as g.shift(a) - g.  In a term order its leading
+    monomial is mark(g) + a, which the ``Ideal`` carries as its mark, so
+    ``buchberger`` orders the products by it without searching them.
+    Reuse a basis only under the ordering that made it: fed to a far
+    ordering, these short generators can make Buchberger's coefficients
+    blow up.
 
     ``buchberger`` stops at the colength N = (n+1)(n+2)/2 of J_n: I is the
     maximal ideal of the identity of the torus, a smooth point, so
     dim S/I^(n+1) counts the monomials of degree <= n in two variables.
     """
-    binomials = [Poly.monomial(sg, a) - 1 for a in sg.generators]
-    gens = binomials
+    gens = [(Poly.monomial(sg, a) - 1, a) for a in sg.generators]
     for n in itertools.count(1):
-        products = tuple(dict.fromkeys(g * b for g in gens for b in binomials))
-        basis = buchberger(Ideal(products, (n + 1) * (n + 2) // 2), ord)
+        polys, marks = zip(*(
+            (g.shift(a) - g, vadd(m, a))
+            for i, (g, m) in enumerate(gens)
+            for a in sg.generators[i if n == 1 else 0:]
+        ))
+        basis = buchberger(Ideal(polys, (n + 1) * (n + 2) // 2, marks), ord)
         yield basis
-        gens = [g for g, _ in basis.elements]
+        gens = basis.elements
 
 
 def jn_basis_at(sg: AffineSemigroup, ord: MatrixOrdering, n: int):
@@ -116,11 +123,15 @@ def pn_family(n: int) -> PnFamily:
     return PnFamily(n, p, q, r, s)
 
 
+# the standard monomials of J_1, where the recursion D_n = D_(n-1) | (P_(n-1) - P_n) starts
+D_1 = frozenset({(0, 0), (1, 0), (1, 1)})
+
+
 def dn_set(n: int) -> set:
     """Standard monomials of J_n, built by the disjoint-union recursion."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = {(0, 0), (1, 0), (1, 1)}
+    d = set(D_1)
     for k in range(2, n + 1):
         d |= pn_family(k - 1).points() - pn_family(k).points()
     return d
@@ -207,9 +218,12 @@ def verify_paper(n_max: int) -> VerificationReport:
     ordering = a3_ordering(sg)
     uv_minus_1 = Poly.monomial(sg, (1, 1)) - 1
     claims = []
-    prev_basis = None
+    prev_basis = prev_fam = None
+    dn = set(D_1)
     for n, basis in zip(range(1, n_max + 1), jn_bases(sg, ordering)):
         fam = pn_family(n)
+        if n >= 2:
+            dn |= prev_fam.points() - fam.points()
         by_mark = {m: g for g, m in basis.elements}
 
         marks_ok = basis.marks() == fam.points()
@@ -219,7 +233,6 @@ def verify_paper(n_max: int) -> VerificationReport:
         ))
 
         std = standard_monomials(basis)
-        dn = dn_set(n)
         std_ok = std == dn and len(dn) == (n + 1) * (n + 2) // 2
         claims.append(ClaimResult(
             n, "b", "standard monomials equal D_n of size (n+1)(n+2)/2",
@@ -241,7 +254,6 @@ def verify_paper(n_max: int) -> VerificationReport:
         ))
 
         if n >= 2:
-            prev_fam = pn_family(n - 1)
             if n % 2 == 1:
                 mark, needed = fam.q[(n - 1) // 2], prev_fam.r[(n - 1) // 2]
             else:
@@ -273,7 +285,7 @@ def verify_paper(n_max: int) -> VerificationReport:
                 not bad, "" if not bad else f"phi nonzero at marks {bad}",
             ))
 
-        prev_basis = basis
+        prev_basis, prev_fam = basis, fam
     return VerificationReport(n_max, tuple(claims))
 
 

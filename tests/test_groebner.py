@@ -106,6 +106,13 @@ def reference_reduce(f, pairs, ord):
     return out
 
 
+def row_pair(row, sg):
+    """The (poly, mark) pair of a ``divisor_table`` row: the poly is its
+    mark term plus its tail."""
+    _, _, lc, tail, mark = row
+    return Poly(sg, {mark: lc, **{(u0, u1): c for u0, u1, c in tail}}), mark
+
+
 KERNEL_CONES = cyclic_cones(7) + [
     a3_semigroup().support_cone,
     Cone2((1, 0), (1, 2)),
@@ -153,7 +160,8 @@ def test_kernel_divisibility_agrees_with_divides():
         for p in box:
             for q in box:
                 (mark,) = mono[q].terms
-                reduced = groebner._reduce(mono[p], [(mono[q], mark)], ord).is_zero
+                table = groebner.divisor_table([(mono[q], mark)], ord)
+                reduced = groebner._reduce(mono[p], table, ord).is_zero
                 assert reduced == divides(sg, q, p), (c, p, q)
                 assert reduced == in_dual(sg, vsub(p, q)), (c, p, q)
 
@@ -178,9 +186,10 @@ def test_reduce_matches_reference_division():
         sg = AffineSemigroup.from_support_cone(c)
         for ord in kernel_orderings(sg):
             pairs = monic_products(sg, ord, 2)
+            table = groebner.divisor_table(pairs, ord)
             for _ in range(12):
                 f = random_kernel_poly(sg, rng)
-                assert groebner._reduce(f, pairs, ord) == reference_reduce(f, pairs, ord), (c, ord)
+                assert groebner._reduce(f, table, ord) == reference_reduce(f, pairs, ord), (c, ord)
 
 
 def test_reduce_pseudo_divides_by_non_monic_divisors():
@@ -201,10 +210,11 @@ def test_reduce_pseudo_divides_by_non_monic_divisors():
                 lc = rng.choice((-3, -2, -1, 2, 3, 4, 6))
                 pairs.append((g + (lc - 1) * Poly.monomial(sg, m), m))
             monic = [(g * Fraction(1, g.coeff(m)), m) for g, m in pairs]
+            table = groebner.divisor_table(pairs, ord)
             for _ in range(12):
                 f = random_kernel_poly(sg, rng)
                 f = f * math.lcm(*[v.denominator for v in f.terms.values()])
-                got = groebner._reduce(f, pairs, ord)
+                got = groebner._reduce(f, table, ord)
                 want = reference_reduce(f, monic, ord)
                 assert all(type(v) is int for v in got.terms.values()), (c, ord)
                 assert got.support() == want.support(), (c, ord)
@@ -212,6 +222,80 @@ def test_reduce_pseudo_divides_by_non_monic_divisors():
                     continue
                 e = next(iter(want.terms))
                 assert got == want * (Fraction(got.coeff(e)) / want.coeff(e)), (c, ord)
+
+
+def padded_orderings(sg):
+    """kernel_orderings with a zero row in front and a multiple of the
+    first row, or its negative, before the second: the same orders."""
+    for ord in kernel_orderings(sg):
+        (p0, p1), q = ord.rows
+        for k in (2, -1):
+            yield MatrixOrdering(((0, 0), (p0, p1), (k * p0, k * p1), q), sg)
+
+
+def test_reduce_emits_terms_in_decreasing_order():
+    """_reduce's result lists its terms in decreasing order, so its first
+    term is its leading_monomial: on random f, by monic and by non-monic
+    divisors, under the kernel orderings and padded copies of them, whose
+    remainders also match the reference division."""
+    rng = random.Random(107)
+    checked = 0
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        for ord in (*kernel_orderings(sg), *padded_orderings(sg)):
+            monic = monic_products(sg, ord, 2)
+            non_monic = [
+                (g + (rng.choice((2, 3, -2)) - 1) * Poly.monomial(sg, m), m) for g, m in monic
+            ]
+            for pairs in (monic, non_monic):
+                table = groebner.divisor_table(pairs, ord)
+                for _ in range(6):
+                    f = random_kernel_poly(sg, rng)
+                    f = f * math.lcm(*[v.denominator for v in f.terms.values()])
+                    r = groebner._reduce(f, table, ord)
+                    if pairs is monic:
+                        assert r == reference_reduce(f, pairs, ord), (c, ord)
+                    if r.is_zero:
+                        continue
+                    assert next(iter(r.terms)) == leading_monomial(ord, r), (c, ord)
+                    assert list(r.terms) == sorted(r.terms, key=ord.key, reverse=True), (c, ord)
+                    checked += 1
+    assert checked > 500
+
+
+def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
+    """The divisor table buchberger keeps by bisect insertion equals, at
+    every _reduce call before the final pass, divisor_table of the working
+    elements so far: the primitive remainders of the earlier calls, marked
+    at their leading monomials.  With no colength, the S-pairs run too."""
+    calls, final = [], []
+    reduce, interreduce = groebner._reduce, groebner.interreduce
+
+    def recording(f, table, ord):
+        r = reduce(f, table, ord)
+        if not final:
+            calls.append((list(table), r))
+        return r
+
+    def marking(pairs, ord):
+        final.append(True)
+        return interreduce(pairs, ord)
+
+    monkeypatch.setattr(groebner, "_reduce", recording)
+    monkeypatch.setattr(groebner, "interreduce", marking)
+    sg, ordering = a3
+    csg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    for ideal, ord in ((jn_generators(sg, 3), ordering), (jn_generators(csg, 2), sweep_start(csg))):
+        calls.clear()
+        final.clear()
+        buchberger(ideal, ord)
+        working = []
+        for table, r in calls:
+            assert table == groebner.divisor_table(working, ord)
+            if not r.is_zero:
+                g = groebner._primitive(r)
+                working.append((g, leading_monomial(ord, g)))
+        assert len(calls) > len(ideal.generators) and len(working) > 4
 
 
 def test_normal_form_matches_reference_division():
@@ -364,7 +448,8 @@ def test_working_basis_stays_integral(a3, monkeypatch):
 
     inner = groebner._reduce
 
-    def checking(f, pairs, ord):
+    def checking(f, table, ord):
+        pairs = [row_pair(row, ord.sg) for row in table]
         if running:
             assert all(type(c) is int for c in f.terms.values()), f
         else:
@@ -374,7 +459,7 @@ def test_working_basis_stays_integral(a3, monkeypatch):
             assert g.coeff(m) == 1 or all(type(c) is int for c in g.terms.values()), g
             if g.coeff(m) != 1:
                 non_monic.append(m)
-        return inner(f, pairs, ord)
+        return inner(f, table, ord)
 
     track(nash_module)
     track(fan_module)
@@ -536,18 +621,65 @@ def test_certificate_rejects_wrong_bases(a3, jn_basis):
 def test_colength_stop_fires_before_any_s_pair(a3, jn_basis, monkeypatch):
     """jn_bases gives each ideal of the A3 tower its colength N, and to n = 12
     the stop fires during reduce-on-insert: under max_reductions=0 not one
-    S-pair is reduced, and the bases are the jn_basis fixture's."""
+    S-pair is reduced, and the bases are the jn_basis fixture's.  Pairs are
+    pushed only once every generator is inserted, so not one minimal common
+    multiple is computed either."""
     expected = [jn_basis(n) for n in range(1, 13)]
     colengths = []
+    mcm_calls = []
+    mcm = groebner.min_common_multiples
 
     def no_pairs(ideal, ord):
         colengths.append(ideal.colength)
         return buchberger(ideal, ord, max_reductions=0)
 
+    def recording(*args):
+        mcm_calls.append(args)
+        return mcm(*args)
+
     monkeypatch.setattr(nash_module, "buchberger", no_pairs)
+    monkeypatch.setattr(groebner, "min_common_multiples", recording)
     sg, ordering = a3
     assert list(itertools.islice(nash_module.jn_bases(sg, ordering), 12)) == expected
     assert colengths == [(n + 1) * (n + 2) // 2 for n in range(1, 13)]
+    assert mcm_calls == []
+
+
+def test_marks_are_only_hints(a3, jn_basis, monkeypatch):
+    """buchberger reads an Ideal's marks only to order reduce-on-insert.
+
+    The tower's products at n = 2..4 are handed over again with their marks
+    shuffled, so that each mark is a term of some generator but mostly not
+    of its own, and with a random term of each generator as its mark; with
+    and without the colength, the reduced basis is unchanged.  The same
+    on the tower of a cyclic cone under the sweep's first ordering."""
+    ideals = []
+
+    def recording(ideal, ord):
+        ideals.append((ideal, ord))
+        return buchberger(ideal, ord)
+
+    monkeypatch.setattr(nash_module, "buchberger", recording)
+    sg, ordering = a3
+    expected = [jn_basis(n) for n in range(2, 5)]
+    list(itertools.islice(nash_module.jn_bases(sg, ordering), 4))
+    c = Cone2((0, 1), (7, -3))
+    csg = AffineSemigroup.from_support_cone(c)
+    cyclic = list(itertools.islice(nash_module.jn_bases(csg, sweep_start(csg)), 3))
+    cases = list(zip(ideals[1:4], expected)) + list(zip(ideals[5:7], cyclic[1:]))
+    rng = random.Random(113)
+    for (ideal, ord), want in cases:
+        gens = ideal.generators
+        shuffled = list(ideal.marks)
+        rng.shuffle(shuffled)
+        assert sum(m != ideal.marks[i] for i, m in enumerate(shuffled)) > len(gens) // 2
+        terms = [rng.choice(sorted(g.terms)) for g in gens]
+        for marks in (shuffled, terms):
+            for colength in (ideal.colength, None):
+                got = groebner.buchberger(Ideal(gens, colength, marks), ord)
+                assert got == want, (ord, colength)
+    with pytest.raises(ValueError):
+        Ideal(ideals[0][0].generators, None, ideals[0][0].marks[1:])
 
 
 def test_quotient_dimension_matches_linear_algebra_oracle(a3, jn_basis):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from nashfan.algebra import ContextMismatch, MatrixOrdering, Poly
+import nashfan.nash as nash_module
+from nashfan.algebra import ContextMismatch, MatrixOrdering, Poly, leading_monomial
+from nashfan.fan import sweep_start
 from nashfan.groebner import buchberger, normal_form, Ideal
 from nashfan.lattice import Cone2, contains, cross, primitive, validate_fan, vadd, vdot, vsub
 from nashfan.nash import (
@@ -307,6 +309,52 @@ def test_laurent_gcd_negative_controls(a3):
 def test_phi_of_jn_is_the_power_ideal():
     for n in range(1, 7):
         assert phi_ideal_is_power(n)
+
+
+def test_jn_bases_marks_are_leading_monomials(monkeypatch):
+    """Every mark jn_bases hands to buchberger is the leading monomial of
+    its product: on A3 to n = 10 and on every cyclic cone with d <= 9 to
+    n = 3."""
+    ideals = []
+
+    def recording(ideal, ord):
+        ideals.append((ideal, ord))
+        return buchberger(ideal, ord)
+
+    monkeypatch.setattr(nash_module, "buchberger", recording)
+    sg = a3_semigroup()
+    cases = [(sg, a3_ordering(sg), 10)]
+    for c in cyclic_cones(9):
+        csg = AffineSemigroup.from_support_cone(c)
+        cases.append((csg, sweep_start(csg), 3))
+    for sg, ordering, n_max in cases:
+        ideals.clear()
+        for _ in zip(range(n_max), jn_bases(sg, ordering)):
+            pass
+        assert len(ideals) == n_max
+        for ideal, ord in ideals:
+            assert ideal.marks == tuple(leading_monomial(ord, g) for g in ideal.generators)
+
+
+def test_verify_paper_builds_each_family_once(monkeypatch):
+    """verify_paper carries D_n and P_(n-1) from one n to the next: one
+    pn_family per n and no dn_set call, and every claim b still passes."""
+    built = []
+    family = nash_module.pn_family
+
+    def counting(n):
+        built.append(n)
+        return family(n)
+
+    def no_dn_set(n):
+        raise AssertionError("verify_paper called dn_set")
+
+    monkeypatch.setattr(nash_module, "pn_family", counting)
+    monkeypatch.setattr(nash_module, "dn_set", no_dn_set)
+    report = verify_paper(12)
+    assert report.all_passed
+    assert built == list(range(1, 13))
+    assert [c.n for c in report.claims if c.claim_id == "b"] == list(range(1, 13))
 
 
 def test_verify_paper_small(a3):
