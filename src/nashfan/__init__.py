@@ -3,14 +3,12 @@ applied to higher Nash blowups of toric surface singularities."""
 
 from .lattice import (
     Cone2,
-    Fan2,
     NotFullDimensional,
     contains,
     cone_from_inequalities,
     dual_cone,
     hilbert_basis,
     multiplicity,
-    validate_fan,
 )
 from .semigroup import (
     AffineSemigroup,
@@ -26,7 +24,6 @@ from .algebra import (
     ZeroPolynomial,
     initial_form,
     leading_monomial,
-    weight_refine,
 )
 from .groebner import (
     Ideal,
@@ -34,7 +31,6 @@ from .groebner import (
     PairQueueExhausted,
     QuotientNotFinite,
     buchberger,
-    ideal_membership,
     normal_form,
     standard_monomials,
 )

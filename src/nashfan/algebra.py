@@ -71,9 +71,6 @@ class Poly:
     def support(self) -> set:
         return set(self.terms)
 
-    def coeff(self, exp: Vec) -> int | Fraction:
-        return self.terms.get(exp, 0)
-
     def _check(self, other):
         if self.sg != other.sg:
             raise ContextMismatch("polynomials over different semigroups")
@@ -118,18 +115,6 @@ class Poly:
         return Poly._make(self.sg, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Poly.monomial(self.sg, (0, 0))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def shift(self, exp: Vec) -> "Poly":
         """Multiply by the monomial x^exp."""
@@ -183,18 +168,6 @@ class MatrixOrdering:
 
     def key(self, a: Vec) -> tuple:
         return tuple(vdot(r, a) for r in self.rows)
-
-    def compare(self, a: Vec, b: Vec) -> int:
-        """-1, 0 or 1 as a is below, equal to or above b."""
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-
-def weight_refine(ord: MatrixOrdering, w: Vec) -> MatrixOrdering:
-    """Prepend w as the dominant row; requires w in the support cone."""
-    if not contains(ord.sg.support_cone, w):
-        raise WeightOutsideSigma(f"{w} is outside the support cone")
-    return MatrixOrdering((tuple(w),) + ord.rows, ord.sg)
 
 
 def leading_monomial(ord: MatrixOrdering, f: Poly) -> Vec:

@@ -8,7 +8,7 @@ import sys
 
 import click
 
-from .fan import fan_to_json, groebner_fan, sweep_start
+from .fan import fan_to_json
 from .lattice import Cone2, multiplicity
 from .nash import a3_ordering, a3_semigroup, jn_basis_at, nash_fan, verify_paper
 from .render import fan_figure, pn_dn_figure
@@ -97,8 +97,7 @@ def gb(n, fmt, out):
 @engine_errors
 def fan(n, fmt, out):
     """Groebner fan of J_n in the A3 semigroup ring."""
-    sg = a3_semigroup()
-    cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), n))
+    cones = nash_fan(a3_semigroup().support_cone, n)
     if fmt == "json":
         _write(json.dumps(fan_to_json(cones), indent=2), out)
     elif fmt == "svg":
@@ -123,10 +122,13 @@ def nash(cone_spec, n, fmt, out):
         x1, y1, x2, y2 = (int(v) for v in cone_spec.split(","))
     except ValueError:
         raise click.UsageError("--cone expects four integers x1,y1,x2,y2")
-    fan2, mults, singular = nash_fan(Cone2((x1, y1), (x2, y2)), n)
+    support = Cone2((x1, y1), (x2, y2))
+    cones = nash_fan(support, n)
+    mults = [multiplicity(gc.cone) for gc in cones]
+    singular = max(mults) > 1
     if fmt == "json":
         _write(json.dumps({
-            "fan": fan2.to_json(),
+            "fan": {"support": support.to_json(), "cones": [gc.cone.to_json() for gc in cones]},
             "multiplicities": mults,
             "is_singular": singular,
         }, indent=2), out)

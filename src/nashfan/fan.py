@@ -8,7 +8,6 @@ from .algebra import MatrixOrdering, initial_form
 from .groebner import Ideal, MarkedBasis, buchberger, interreduce, normal_form, standard_monomials
 from .lattice import (
     Cone2,
-    Fan2,
     cone_from_inequalities,
     multiplicity,
     rot_ccw,
@@ -111,10 +110,6 @@ def groebner_fan(first: MarkedBasis) -> list:
         initial = Ideal((initial_form(frontier, g) for g, _ in basis.elements), colength)
         flip = buchberger(initial, ord)
         basis = interreduce([(h - normal_form(h, basis), m) for h, m in flip.elements], ord)
-
-
-def fan_of_cones(cones: list) -> Fan2:
-    return Fan2(tuple(gc.cone for gc in cones), cones[0].basis.sg.support_cone)
 
 
 def fan_to_json(cones: list) -> dict:

@@ -22,6 +22,10 @@ class PairQueueExhausted(RuntimeError):
     """Defensive cap on S-pair reductions hit; indicates an engine bug."""
 
 
+# the S-pairs one ``buchberger`` run may reduce before it raises PairQueueExhausted
+MAX_REDUCTIONS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class Ideal:
     """Generators; the colength dim S/I if known, at which ``buchberger``
@@ -247,7 +251,7 @@ def _primitive(f: Poly) -> Poly:
     return Poly._make(f.sg, {e: c // k for e, c in terms.items()})
 
 
-def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6) -> MarkedBasis:
+def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     """The unique reduced Groebner basis of the ideal under the ordering.
 
     Each generator, by increasing leading monomial, then each S-pair
@@ -261,7 +265,7 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
     J. Symb. Comput. 1996): the marks' standard set contains the ideal's,
     so equal sizes make the working basis a Groebner basis.  A colength
     too large could stop early; one too small never stops.
-    ``max_reductions`` caps the S-pairs reduced.
+    ``MAX_REDUCTIONS`` caps the S-pairs reduced.
 
     No pair is pushed until every generator is inserted, so a run that the
     colength stops during reduce-on-insert computes no minimal common
@@ -319,8 +323,8 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering, max_reductions: int = 10 ** 6)
         if not heap:
             break
         _, _, i, j, m = heapq.heappop(heap)
-        if reductions >= max_reductions:
-            raise PairQueueExhausted(f"more than {max_reductions} S-pair reductions")
+        if reductions >= MAX_REDUCTIONS:
+            raise PairQueueExhausted(f"more than {MAX_REDUCTIONS} S-pair reductions")
         reductions += 1
         (gi, mi), (gj, mj) = basis[i], basis[j]
         li, lj = gi.terms[mi], gj.terms[mj]
@@ -363,7 +367,3 @@ def standard_monomials(basis: MarkedBasis) -> set:
     if std is None:
         raise QuotientNotFinite("no mark lies on one of the rays of the exponent cone")
     return std
-
-
-def ideal_membership(f: Poly, basis: MarkedBasis) -> bool:
-    return normal_form(f, basis).is_zero

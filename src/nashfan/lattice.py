@@ -1,4 +1,4 @@
-"""Exact 2-D lattice geometry: rational cones, duals, Hilbert bases, fans.
+"""Exact 2-D lattice geometry: rational cones, duals, Hilbert bases.
 
 All vectors are plain ``(int, int)`` tuples; all arithmetic is exact.
 """
@@ -6,7 +6,6 @@ All vectors are plain ``(int, int)`` tuples; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Tuple
 
@@ -75,11 +74,6 @@ class Cone2:
 
     def to_json(self) -> dict:
         return {"rays": [list(self.ray1), list(self.ray2)]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Cone2":
-        r1, r2 = data["rays"]
-        return cls(tuple(r1), tuple(r2))
 
 
 def dual_cone(c: Cone2) -> Cone2:
@@ -172,11 +166,6 @@ def hilbert_basis(c: Cone2) -> set:
     return minimal_points(c, 1, 0) | {c.ray2}
 
 
-def _angular_cmp(a: Vec, b: Vec) -> int:
-    # valid as a total order only for rays inside a common salient cone
-    return -cross(a, b)
-
-
 def cone_from_inequalities(normals: Iterable[Vec], support: Cone2) -> Cone2:
     """The weights w in the support cone with w.n >= 0 for every normal n.
 
@@ -196,30 +185,3 @@ def cone_from_inequalities(normals: Iterable[Vec], support: Cone2) -> Cone2:
             raise NotFullDimensional(f"feasible region inside {support} is not 2-dimensional")
     return dual_cone(Cone2(lo, hi))
 
-
-@dataclass(frozen=True)
-class Fan2:
-    """A fan of full-dimensional cones tiling a support cone."""
-
-    cones: tuple
-    support: Cone2
-
-    def to_json(self) -> dict:
-        ordered = sorted(self.cones, key=cmp_to_key(lambda a, b: _angular_cmp(a.ray1, b.ray1)))
-        return {"support": self.support.to_json(), "cones": [c.to_json() for c in ordered]}
-
-
-def validate_fan(f: Fan2) -> bool:
-    """True iff the cones tile the support face-to-face."""
-    if not f.cones:
-        return False
-    cones = sorted(f.cones, key=cmp_to_key(lambda a, b: _angular_cmp(a.ray1, b.ray1)))
-    if cones[0].ray1 != f.support.ray1 or cones[-1].ray2 != f.support.ray2:
-        return False
-    for a, b in zip(cones, cones[1:]):
-        if a.ray2 != b.ray1:
-            return False
-    return all(
-        contains(f.support, c.ray1) and contains(f.support, c.ray2)
-        for c in cones
-    )

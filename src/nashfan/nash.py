@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .algebra import ContextMismatch, MatrixOrdering, Poly
-from .fan import cone_of_basis, fan_of_cones, groebner_fan, sweep_start
-from .groebner import Ideal, buchberger, ideal_membership, standard_monomials
+from .fan import cone_of_basis, groebner_fan, sweep_start
+from .groebner import Ideal, buchberger, normal_form, standard_monomials
 from .lattice import Cone2, Vec, multiplicity, vadd, vdot, vscale, vsub
 from .semigroup import AffineSemigroup, divides
 
@@ -266,7 +266,7 @@ def verify_paper(n_max: int) -> VerificationReport:
             ))
 
             colon_ok = all(
-                ideal_membership(uv_minus_1 * g, basis)
+                normal_form(uv_minus_1 * g, basis).is_zero
                 for g, _ in prev_basis.elements
             )
             claims.append(ClaimResult(
@@ -292,9 +292,12 @@ def verify_paper(n_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Nash blowup fan of a toric surface cone
 
-def nash_fan(surface_cone: Cone2, n: int):
-    """Fan of the normalized n-th Nash blowup with per-cone multiplicities."""
+def nash_fan(surface_cone: Cone2, n: int) -> list:
+    """Fan of the normalized n-th Nash blowup: the ``GroebnerCone``s of J_n.
+
+    They come as ``groebner_fan`` sweeps them, in angular order from the
+    cone's first ray to its second; the blowup is singular iff one of them
+    has multiplicity above 1.
+    """
     sg = AffineSemigroup.from_support_cone(surface_cone)
-    cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), n))
-    mults = [multiplicity(gc.cone) for gc in cones]
-    return fan_of_cones(cones), mults, any(m > 1 for m in mults)
+    return groebner_fan(jn_basis_at(sg, sweep_start(sg), n))

@@ -33,12 +33,6 @@ class AffineSemigroup:
         dual = dual_cone(support)
         return cls(dual, tuple(sorted(hilbert_basis(dual))), support)
 
-    def to_json(self) -> dict:
-        return {
-            "dual_cone": self.dual_cone.to_json(),
-            "generators": [list(g) for g in self.generators],
-        }
-
 
 def is_member(sg: AffineSemigroup, a: Vec) -> bool:
     return contains(sg.dual_cone, a)

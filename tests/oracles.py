@@ -2,14 +2,15 @@
 
 Nothing under ``src/nashfan`` calls these: bounded enumeration of semigroup
 members, S-polynomials at every minimal common multiple, the ℚ[λ] gcd that
-checks φ(J_n) = ((λ - 1)^(n+1)), and a certificate that a basis is the
-reduced basis of J_n which never calls ``buchberger``.
+checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the
+reduced basis of J_n which never calls ``buchberger``, and the check that
+a list of cones tiles a support cone in angular order.
 """
 
 import math
 from fractions import Fraction
 
-from nashfan.lattice import vadd, vdot, vsub
+from nashfan.lattice import contains, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_generators, phi_specialize
 from nashfan.semigroup import AffineSemigroup, min_common_multiples
 
@@ -151,7 +152,7 @@ def reduced(basis, std) -> bool:
     sg, rows = basis.sg, basis.ordering.rows
     marks = [m for _, m in basis.elements]
     return all(
-        g.coeff(m) == 1
+        g.terms.get(m, 0) == 1
         and max(g.terms, key=lambda e: tuple(vdot(r, e) for r in rows)) == m
         and sum(in_dual(sg, vsub(m, m2)) for m2 in marks) == 1  # only m itself
         and all(e in std for e in g.terms if e != m)
@@ -176,3 +177,21 @@ def certified(basis, n: int) -> bool:
         and reduced(basis, std)
         and all(in_jn(g, n) for g, _ in basis.elements)
     )
+
+
+def validate_fan(cones, support) -> bool:
+    """Whether the cones, in the order given, tile the support face to face.
+
+    The first cone starts at the support's ray1, each cone's ray2 is the
+    next cone's ray1, the last cone ends at the support's ray2, and every
+    ray lies in the support.  Each cone turns counter-clockwise from its
+    ray1 to its ray2, so such a chain sweeps the support once.
+    """
+    if not cones:
+        return False
+    if cones[0].ray1 != support.ray1 or cones[-1].ray2 != support.ray2:
+        return False
+    for a, b in zip(cones, cones[1:]):
+        if a.ray2 != b.ray1:
+            return False
+    return all(contains(support, c.ray1) and contains(support, c.ray2) for c in cones)

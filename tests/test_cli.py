@@ -1,5 +1,6 @@
 import gc
 import json
+from pathlib import Path
 
 from click.testing import CliRunner, _NamedTextIOWrapper
 
@@ -66,6 +67,18 @@ def test_nash_verdicts():
     data = json.loads(run("nash", "--cone", "0,1,4,-3", "--n", "1", "--format", "json").output)
     assert data["is_singular"] is True
     assert max(data["multiplicities"]) == 2
+
+
+def test_nash_json_bytes_match_golden():
+    """The exact bytes of ``nash --format json``, key order and indent included.
+
+    The second cone's dual leaves the first quadrant."""
+    golden = Path(__file__).parent / "golden"
+    for cone, n, name in (("0,1,7,-3", "2", "nash_0_1_7_-3_n2.json"),
+                          ("1,0,1,2", "1", "nash_1_0_1_2_n1.json")):
+        result = run("nash", "--cone", cone, "--n", n, "--format", "json")
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == (golden / name).read_bytes(), name
 
 
 def test_nash_usage_and_engine_errors():

@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 
 import nashfan.fan as fan_module
-from nashfan.algebra import Poly, initial_form, leading_monomial, weight_refine
-from nashfan.fan import cone_of_basis, fan_of_cones, fan_to_json, groebner_fan, sweep_start
+from nashfan.algebra import MatrixOrdering, Poly, initial_form, leading_monomial
+from nashfan.fan import cone_of_basis, fan_to_json, groebner_fan, sweep_start
 from nashfan.groebner import Ideal, MarkedBasis, buchberger, standard_monomials
-from nashfan.lattice import Cone2, multiplicity, validate_fan, vadd, vdot, vsub
+from nashfan.lattice import Cone2, multiplicity, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 from nashfan.semigroup import AffineSemigroup
 
-from oracles import certified, standard_set
+from oracles import certified, standard_set, validate_fan
 from test_nash import cyclic_cones
 
 GOLDEN_7_3 = Path(__file__).parent / "golden" / "cone_0_1_7_-3_fan_n2.json"
@@ -24,6 +24,11 @@ GOLDEN_7_3 = Path(__file__).parent / "golden" / "cone_0_1_7_-3_fan_n2.json"
 SWEEP_CASES = [(c, n) for c in cyclic_cones(9) for n in (1, 2, 3)]
 SWEEP_CASES += [(a3_semigroup().support_cone, n) for n in (1, 2, 3, 4)]
 SWEEP_CASES += [(c, n) for c in (Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3))) for n in (1, 2)]
+
+
+def refined(ordering, w):
+    """The ordering with w as a new first row."""
+    return MatrixOrdering((w,) + ordering.rows, ordering.sg)
 
 
 def random_interior_weight(cone, rng, span=6):
@@ -58,22 +63,20 @@ def test_two_zero_lies_strictly_inside_the_cone_of_gb_j1(a3, jn_basis):
 def test_gb_j1_is_unchanged_by_weight_refine_at_interior_weights(a3, jn_basis):
     sg, ordering = a3
     ideal = jn_generators(sg, 1)
-    at_20 = buchberger(ideal, weight_refine(ordering, (2, 0)))
+    at_20 = buchberger(ideal, refined(ordering, (2, 0)))
     assert at_20.elements == jn_basis(1).elements
     # any base ordering at an interior weight gives the same marked basis
-    from nashfan.algebra import MatrixOrdering
     other = MatrixOrdering(((0, 1), (4, -3)), sg)
     gc = cone_of_basis(jn_basis(1))
     w = vadd(gc.cone.ray1, gc.cone.ray2)
-    assert buchberger(ideal, weight_refine(other, w)).elements == jn_basis(1).elements
-    assert buchberger(ideal, weight_refine(ordering, (0, 0))).elements == jn_basis(1).elements
+    assert buchberger(ideal, refined(other, w)).elements == jn_basis(1).elements
+    assert buchberger(ideal, refined(ordering, (0, 0))).elements == jn_basis(1).elements
 
 
 def test_groebner_fan_j1(a3, jn_basis):
     sg, _ = a3
     cones = groebner_fan(buchberger(jn_generators(sg, 1), sweep_start(sg)))
-    fan = fan_of_cones(cones)
-    assert validate_fan(fan)
+    assert validate_fan([gc.cone for gc in cones], sg.support_cone)
     assert Cone2((0, 1), (2, -1)) in {gc.cone for gc in cones}
     for gc in cones:
         assert cone_of_basis(gc.basis).cone == gc.cone
@@ -83,7 +86,7 @@ def test_groebner_fan_j1(a3, jn_basis):
 def test_groebner_fan_j2(a3):
     sg, _ = a3
     cones = groebner_fan(buchberger(jn_generators(sg, 2), sweep_start(sg)))
-    assert validate_fan(fan_of_cones(cones))
+    assert validate_fan([gc.cone for gc in cones], sg.support_cone)
     assert Cone2((2, -1), (4, -1)) in {gc.cone for gc in cones}
     for gc in cones:
         assert cone_of_basis(gc.basis).cone == gc.cone
@@ -106,7 +109,7 @@ def test_basis_stable_across_interior_weights(a3):
         for gc in groebner_fan(buchberger(ideal, sweep_start(sg))):
             for _ in range(5):
                 w = random_interior_weight(gc.cone, rng)
-                assert buchberger(ideal, weight_refine(ordering, w)).elements == gc.basis.elements
+                assert buchberger(ideal, refined(ordering, w)).elements == gc.basis.elements
 
 
 def test_initial_form_at_interior_weight_is_the_mark(a3):

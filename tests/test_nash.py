@@ -9,7 +9,7 @@ import nashfan.nash as nash_module
 from nashfan.algebra import ContextMismatch, MatrixOrdering, Poly, leading_monomial
 from nashfan.fan import sweep_start
 from nashfan.groebner import buchberger, normal_form, Ideal
-from nashfan.lattice import Cone2, contains, cross, primitive, validate_fan, vadd, vdot, vsub
+from nashfan.lattice import Cone2, contains, cross, multiplicity, primitive, vadd, vdot, vsub
 from nashfan.nash import (
     a3_ordering,
     a3_semigroup,
@@ -27,7 +27,7 @@ from nashfan.nash import (
 )
 from nashfan.semigroup import AffineSemigroup, divides
 
-from oracles import laurent_gcd, phi_ideal_is_power
+from oracles import laurent_gcd, phi_ideal_is_power, validate_fan
 
 N_RANGE = range(1, 13)
 
@@ -202,7 +202,7 @@ def test_p_point_dominates_dn():
     for n in N_RANGE:
         p = pn_family(n).p
         for a in dn_set(n):
-            assert ordering.compare(p, a) == 1
+            assert ordering.key(p) > ordering.key(a)
 
 
 def test_psi_extremes():
@@ -371,26 +371,26 @@ def test_verify_paper_small(a3):
         verify_paper(0)
 
 
+def fan_cones(c: Cone2, n: int) -> list:
+    """The cones of nash_fan(c, n), in the order it returns them."""
+    return [gc.cone for gc in nash_fan(c, n)]
+
+
 def test_nash_fan_a3_is_singular():
     for n in (1, 2):
-        fan, mults, singular = nash_fan(Cone2((0, 1), (4, -3)), n)
-        assert singular
-        assert validate_fan(fan)
+        cones = fan_cones(Cone2((0, 1), (4, -3)), n)
+        mults = [multiplicity(t) for t in cones]
+        assert validate_fan(cones, Cone2((0, 1), (4, -3)))
         assert 2 in mults
         if n == 1:
-            assert Cone2((0, 1), (2, -1)) in set(fan.cones)
-            idx = list(fan.cones).index(Cone2((0, 1), (2, -1)))
-            assert mults[idx] == 2
+            assert mults[cones.index(Cone2((0, 1), (2, -1)))] == 2
 
 
 def test_nash_fan_smooth_cone():
-    fan, mults, singular = nash_fan(Cone2((1, 0), (0, 1)), 1)
-    assert not singular
-    assert set(mults) == {1}
-    assert validate_fan(fan)
+    cones = fan_cones(Cone2((1, 0), (0, 1)), 1)
+    assert {multiplicity(t) for t in cones} == {1}
+    assert validate_fan(cones, Cone2((1, 0), (0, 1)))
     # cross-check the marks of the quadrant basis by direct computation
-    from nashfan.algebra import MatrixOrdering
-    from nashfan.semigroup import AffineSemigroup
     sg = AffineSemigroup.from_support_cone(Cone2((1, 0), (0, 1)))
     ordering = MatrixOrdering(((2, 1), (1, 1)), sg)
     basis = buchberger(jn_generators(sg, 1), ordering)
@@ -401,12 +401,19 @@ def test_nash_fan_rejects_bad_coordinates():
     # the dual of cone((1,0),(1,2)) leaves the first quadrant; the fan is
     # computed all the same and agrees with its GL2(Z) image cone((0,1),(2,-1))
     for c in (Cone2((1, 0), (1, 2)), Cone2((0, 1), (2, -1))):
-        fan, mults, singular = nash_fan(c, 1)
-        assert mults == [1, 1]
-        assert not singular
-        assert validate_fan(fan)
+        cones = fan_cones(c, 1)
+        assert [multiplicity(t) for t in cones] == [1, 1]
+        assert validate_fan(cones, c)
     with pytest.raises(ValueError):
         nash_fan(Cone2((0, 1), (4, -3)), 0)
+
+
+def test_nash_fan_sweeps_its_cone_in_angular_order():
+    """The order of nash_fan, which the ``nash`` JSON lists, tiles the cone:
+    the first cone starts at its first ray and each starts where the last ended."""
+    for c in cyclic_cones(13):
+        for n in (1, 2):
+            assert validate_fan(fan_cones(c, n), c), (c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +460,7 @@ def test_newton_oracle_examples():
 
 def test_nash_fan_matches_newton_oracle():
     for c in cyclic_cones(12):
-        assert list(nash_fan(c, 1)[0].cones) == newton_fan_cones(c), c
+        assert fan_cones(c, 1) == newton_fan_cones(c), c
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +483,10 @@ def mapped(mat, c: Cone2) -> Cone2:
 
 
 def assert_gl2_invariant(c: Cone2, n: int):
-    fan, mults, singular = nash_fan(c, n)
-    cone_mults = dict(zip(fan.cones, mults))
+    """Each cone of the mapped fan is a mapped cone, with its multiplicity."""
+    cone_mults = {t: multiplicity(t) for t in fan_cones(c, n)}
     for mat in UNIMODULAR:
-        fan2, mults2, singular2 = nash_fan(mapped(mat, c), n)
-        assert sorted(mults2) == sorted(mults), (c, mat)
-        assert singular2 == singular, (c, mat)
-        assert dict(zip(fan2.cones, mults2)) == {
+        assert {t: multiplicity(t) for t in fan_cones(mapped(mat, c), n)} == {
             mapped(mat, t): m for t, m in cone_mults.items()
         }, (c, mat)
 
