@@ -120,6 +120,34 @@ class Poly:
         """Multiply by the monomial x^exp."""
         return Poly._make(self.sg, {vadd(e, exp): c for e, c in self.terms.items()})
 
+    def shift_sub(self, a: Vec, other: "Poly", b: Vec) -> "Poly":
+        """x^a * self - x^b * other, in one pass over the two term dicts.
+
+        Terms that cancel are dropped.  Only a summed coefficient can turn
+        integral, so only those are demoted; a shifted or negated term keeps
+        its coefficient's type.  The terms come in the order of
+        ``self.shift(a) - other.shift(b)``.
+        """
+        self._check(other)
+        a0, a1 = a
+        b0, b1 = b
+        out = {(e0 + a0, e1 + a1): c for (e0, e1), c in self.terms.items()}
+        for (e0, e1), c in other.terms.items():
+            e = (e0 + b0, e1 + b1)
+            old = out.get(e)
+            if old is None:
+                out[e] = -c
+                continue
+            d = old - c
+            if d:
+                out[e] = d if type(d) is int else _demote(d)
+            else:
+                del out[e]
+        p = object.__new__(Poly)
+        p.sg = self.sg
+        p.terms = out
+        return p
+
     def to_json(self) -> dict:
         items = sorted(self.terms.items())
         return {

@@ -65,7 +65,8 @@ def groebner_fan(first: MarkedBasis) -> list:
     2. H, the reduced basis of these initial forms under the new ordering,
        by ``buchberger``;
     3. the lift h - normal_form(h, G) of every h in H, a division by G
-       under G's own ordering;
+       under G's own ordering, except that an h equal to some in_w(g) is
+       lifted to g;
     4. ``interreduce`` of the lifts under the new ordering.
 
     w lies in the closure of G's cone, so every mark of G is a term of
@@ -84,6 +85,9 @@ def groebner_fan(first: MarkedBasis) -> list:
     the marks of H generate.  The lifts are thus a Groebner basis of J_n
     under the new ordering, and one inter-reduction makes it reduced.  All
     of this needs w in the closure of G's cone, so G is flipped only there.
+    If h = in_w(g), then g - h is a sum of terms of g other than its mark,
+    which G leaves standard, and g reduces to 0; the normal form is linear,
+    so normal_form(h, G) = h - g and the lift is g itself.
 
     Step 2 stops at the colength of ``first``: w lies inside σ, so in_w(J_n)
     has the initial ideal of J_n under w refined by a term order, and keeps
@@ -107,9 +111,10 @@ def groebner_fan(first: MarkedBasis) -> list:
         if len(cones) >= 10 ** 4:
             raise SweepStalled("more than 10000 cones; sweep is not terminating")
         ord = MatrixOrdering((frontier, rot_ccw(frontier)), sg)
-        initial = Ideal((initial_form(frontier, g) for g, _ in basis.elements), colength)
-        flip = buchberger(initial, ord)
-        basis = interreduce([(h - normal_form(h, basis), m) for h, m in flip.elements], ord)
+        known = {initial_form(frontier, g): g for g, _ in basis.elements}
+        flip = buchberger(Ideal(known, colength), ord)
+        lifts = [(known[h] if h in known else h - normal_form(h, basis), m) for h, m in flip.elements]
+        basis = interreduce(lifts, ord)
 
 
 def fan_to_json(cones: list) -> dict:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import cone_coords, cross, points_below, vsub
+from .lattice import cone_coords, count_below, cross, points_below, vsub
 from .semigroup import AffineSemigroup, min_common_multiples
 
 
@@ -261,10 +261,11 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     ideal's ``marks``, when given, stand in for the generators' leading
     monomials in that order and nowhere else.  Given the ideal's
     ``colength``, the run stops once the working marks leave exactly that
-    many standard monomials, checked after each addition (Traverso,
-    J. Symb. Comput. 1996): the marks' standard set contains the ideal's,
-    so equal sizes make the working basis a Groebner basis.  A colength
-    too large could stop early; one too small never stops.
+    many standard monomials, counted by ``lattice.count_below`` after each
+    addition (Traverso, J. Symb. Comput. 1996): the marks' standard set
+    contains the ideal's, so equal sizes make the working basis a Groebner
+    basis.  A colength too large could stop early; one too small never
+    stops.
     ``MAX_REDUCTIONS`` caps the S-pairs reduced.
 
     No pair is pushed until every generator is inserted, so a run that the
@@ -281,11 +282,20 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     counterparts.  Its ``divisor_table`` grows by bisect insertion.  Only
     the final pass (``interreduce``) divides each kept element by its lc,
     which may leave Fractions.
+
+    The final pass re-reduces only the undercut elements: those after which
+    an element with a smaller mark was inserted, i.e. the table rows at or
+    after the bisect position of a new mark.  Any other element x was
+    reduced on insert by every element then in the table, and a mark that
+    divides a term t of x lies at or below t, so at or below mark(x); no
+    element inserted later has such a mark, so reducing x again by the kept
+    elements would return it unchanged.
     """
     sg = ord.sg
     dual = sg.dual_cone
     basis = []
     table, keys = [], []      # keys: ord.key of the table's marks, for bisect
+    undercut = set()
     heap = []
     reductions = 0
     tiebreak = itertools.count()
@@ -299,12 +309,12 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         basis.append((g, mr))
         k = ord.key(mr)
         i = bisect.bisect(keys, k)
+        undercut.update(m for _, _, _, _, m in table[i:])
         keys.insert(i, k)
         table.insert(i, _divisor(g, mr, ord))
         if ideal.colength is None:
             return False
-        std = points_below(dual, [m for _, m in basis])
-        return std is not None and len(std) == ideal.colength
+        return count_below(dual, [m for _, m in basis]) == ideal.colength
 
     # reduce-on-insert keeps the working basis small from the start; the
     # normalization does not read the marks, only the order does
@@ -331,12 +341,12 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         if li != lj:
             k = math.gcd(li, lj)
             gi, gj = gi * (lj // k), gj * (li // k)
-        stopped = insert(gi.shift(vsub(m, mi)) - gj.shift(vsub(m, mj)))
+        stopped = insert(gi.shift_sub(vsub(m, mi), gj, vsub(m, mj)))
 
-    return interreduce(basis, ord)
+    return interreduce(basis, ord, undercut)
 
 
-def interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
+def interreduce(pairs, ord: MatrixOrdering, undercut=None) -> MarkedBasis:
     """The reduced basis from a Groebner basis given as (poly, mark) pairs.
 
     Each mark is the leading monomial of its polynomial under the ordering.
@@ -347,17 +357,23 @@ def interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
     itself, whose coefficient the reduction therefore leaves alone.  The
     kept elements are monic, so each division is exact, whatever the
     coefficients of the input.  Their ``divisor_table`` grows by appending.
+
+    Given ``undercut``, a set of marks, only the elements marked there are
+    reduced.  Every other element must have no term that the mark of
+    another element divides, as ``buchberger`` ensures for its working
+    elements outside the set; reducing it would return it unchanged.
     """
     dual = ord.sg.dual_cone
     kept, table = [], []
     for g, m in sorted(pairs, key=lambda gm: ord.key(gm[1])):
         a, b = cone_coords(dual, m)
         if not any(a >= am and b >= bm for am, bm, _, _, _ in table):
-            r = _reduce(g, table, ord)
-            lc = r.terms[m]
-            r = r if lc == 1 else r * Fraction(1, lc)
-            kept.append((r, m))
-            table.append(_divisor(r, m, ord))
+            if undercut is None or m in undercut:
+                g = _reduce(g, table, ord)
+            lc = g.terms[m]
+            g = g if lc == 1 else g * Fraction(1, lc)
+            kept.append((g, m))
+            table.append(_divisor(g, m, ord))
     return MarkedBasis(tuple(kept), ord)
 
 

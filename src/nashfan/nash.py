@@ -46,9 +46,10 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     J_n = J_(n-1) * I, so the products g * (x^a - 1) of the reduced basis of
     J_(n-1) with the binomials generate J_n; the binomials stand in for
     GB(J_0) = I, and at n = 1 each b_i * b_j is built for i <= j only.  A
-    product is built as g.shift(a) - g.  In a term order its leading
-    monomial is mark(g) + a, which the ``Ideal`` carries as its mark, so
-    ``buchberger`` orders the products by it without searching them.
+    product is built in one pass by ``Poly.shift_sub``.  In a term order
+    its leading monomial is mark(g) + a, which the ``Ideal`` carries as its
+    mark, so ``buchberger`` orders the products by it without searching
+    them.
     Reuse a basis only under the ordering that made it: fed to a far
     ordering, these short generators can make Buchberger's coefficients
     blow up.
@@ -60,7 +61,7 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     gens = [(Poly.monomial(sg, a) - 1, a) for a in sg.generators]
     for n in itertools.count(1):
         polys, marks = zip(*(
-            (g.shift(a) - g, vadd(m, a))
+            (g.shift_sub(a, g, (0, 0)), vadd(m, a))
             for i, (g, m) in enumerate(gens)
             for a in sg.generators[i if n == 1 else 0:]
         ))
@@ -216,7 +217,6 @@ def verify_paper(n_max: int) -> VerificationReport:
         raise ValueError("n_max must be positive")
     sg = a3_semigroup()
     ordering = a3_ordering(sg)
-    uv_minus_1 = Poly.monomial(sg, (1, 1)) - 1
     claims = []
     prev_basis = prev_fam = None
     dn = set(D_1)
@@ -266,7 +266,7 @@ def verify_paper(n_max: int) -> VerificationReport:
             ))
 
             colon_ok = all(
-                normal_form(uv_minus_1 * g, basis).is_zero
+                normal_form(g.shift_sub((1, 1), g, (0, 0)), basis).is_zero
                 for g, _ in prev_basis.elements
             )
             claims.append(ClaimResult(

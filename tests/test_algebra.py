@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,9 @@ from nashfan.algebra import (
     initial_form,
     leading_monomial,
 )
-from nashfan.lattice import Cone2
+from nashfan.fan import groebner_fan, sweep_start
+from nashfan.lattice import Cone2, vsub
+from nashfan.nash import jn_basis_at
 from nashfan.semigroup import AffineSemigroup, divides
 
 
@@ -107,6 +110,45 @@ def test_context_mismatch(a3):
         Poly.monomial(sg, (1, 1)) + Poly.monomial(other, (1, 1))
     with pytest.raises(ContextMismatch):
         Poly.monomial(sg, (1, 1)) * Poly.monomial(other, (1, 1))
+    with pytest.raises(ContextMismatch):
+        Poly.monomial(sg, (1, 1)).shift_sub((0, 0), Poly.monomial(other, (1, 1)), (0, 0))
+
+
+def typed_terms(f):
+    return [(e, c, type(c)) for e, c in f.terms.items()]
+
+
+def test_shift_sub_matches_shift_and_subtraction(a3):
+    """x^a f - x^b g in one pass against f.shift(a) - g.shift(b): the same
+    terms in the same order, each coefficient of the same type.  On random
+    polys, on full cancellation, and on the ½ coefficients of the bases of
+    a cyclic sweep, whose differences cancel to integers."""
+    sg, _ = a3
+    rng = random.Random(67)
+    for _ in range(60):
+        f, g = random_poly(sg, rng), random_poly(sg, rng)
+        a, b = random_member(sg, rng), random_member(sg, rng)
+        for x, h, y in ((a, g, b), (a, f, (0, 0)), ((0, 0), f + g, b)):
+            assert typed_terms(f.shift_sub(x, h, y)) == typed_terms(f.shift(x) - h.shift(y))
+        assert f.shift_sub(a, f, a).is_zero
+    csg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    halves = [
+        g
+        for gc in groebner_fan(jn_basis_at(csg, sweep_start(csg), 2))
+        for g, _ in gc.basis.elements
+        if any(type(c) is Fraction for c in g.terms.values())
+    ]
+    integral = 0
+    for f in halves:
+        for g in halves:
+            for a, b in [((0, 0), (0, 0)), *itertools.product(csg.generators, repeat=2)]:
+                got = f.shift_sub(a, g, b)
+                assert typed_terms(got) == typed_terms(f.shift(a) - g.shift(b))
+                integral += sum(
+                    type(c) is int and type(f.terms.get(vsub(e, a))) is Fraction
+                    for e, c in got.terms.items()
+                )
+    assert len(halves) == 3 and integral > 0
 
 
 def test_poly_json_round_trip(a3):

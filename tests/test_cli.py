@@ -6,6 +6,7 @@ from click.testing import CliRunner, _NamedTextIOWrapper
 
 import nashfan.cli
 import nashfan.nash
+from nashfan import groebner
 from nashfan.cli import main
 from nashfan.groebner import MarkedBasis
 from nashfan.nash import a3_ordering
@@ -70,13 +71,16 @@ def test_nash_verdicts():
 
 
 def test_nash_json_bytes_match_golden():
-    """The exact bytes of ``nash --format json``, key order and indent included.
+    """The exact bytes of ``nash``, ``fan`` and ``gb --format json``, key
+    order and indent included.
 
     The second cone's dual leaves the first quadrant."""
     golden = Path(__file__).parent / "golden"
-    for cone, n, name in (("0,1,7,-3", "2", "nash_0_1_7_-3_n2.json"),
-                          ("1,0,1,2", "1", "nash_1_0_1_2_n1.json")):
-        result = run("nash", "--cone", cone, "--n", n, "--format", "json")
+    for args, name in ((("nash", "--cone", "0,1,7,-3", "--n", "2"), "nash_0_1_7_-3_n2.json"),
+                       (("nash", "--cone", "1,0,1,2", "--n", "1"), "nash_1_0_1_2_n1.json"),
+                       (("fan", "--n", "4"), "fan_n4.json"),
+                       (("gb", "--n", "8"), "gb_n8.json")):
+        result = run(*args, "--format", "json")
         assert result.exit_code == 0, result.output
         assert result.stdout_bytes == (golden / name).read_bytes(), name
 
@@ -86,6 +90,15 @@ def test_nash_usage_and_engine_errors():
     assert run("nash", "--cone", "1,0,2,0", "--n", "1").exit_code == 2
     assert run("nash", "--cone", "0,0,2,1", "--n", "1").exit_code == 2
     assert run("gb").exit_code == 2
+
+
+def test_reduction_cap_is_an_error_not_a_traceback(monkeypatch):
+    """Hitting the S-pair cap ends in exit 2 with one error line on stderr."""
+    monkeypatch.setattr(groebner, "MAX_REDUCTIONS", 0)
+    result = run("nash", "--cone", "0,1,7,-3", "--n", "2")
+    assert result.exit_code == 2
+    assert result.stderr == "error: more than 0 S-pair reductions\n"
+    assert result.stdout == "" and "Traceback" not in result.output
 
 
 def test_out_into_missing_directory(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import nashfan.fan as fan_module
 from nashfan.algebra import MatrixOrdering, Poly, initial_form, leading_monomial
 from nashfan.fan import cone_of_basis, fan_to_json, groebner_fan, sweep_start
-from nashfan.groebner import Ideal, MarkedBasis, buchberger, standard_monomials
+from nashfan.groebner import Ideal, MarkedBasis, buchberger, normal_form, standard_monomials
 from nashfan.lattice import Cone2, multiplicity, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 from nashfan.semigroup import AffineSemigroup
@@ -191,7 +191,8 @@ def test_every_flip_matches_the_full_buchberger_step(monkeypatch):
     w-homogeneous and equals in_w of the reference basis, which holds no
     monomial, though the initial forms that H is computed from mix
     monomials and binomials.  Each lift f has in_w(f) = h and the leading
-    monomial of h.
+    monomial of h.  Each lift equals h - normal_form(h, G), also where the
+    sweep knew it without dividing: h = in_w(g) for some g in G lifts to g.
     """
     steps = []
     inner_buchberger, inner_interreduce = fan_module.buchberger, fan_module.interreduce
@@ -206,7 +207,7 @@ def test_every_flip_matches_the_full_buchberger_step(monkeypatch):
 
     monkeypatch.setattr(fan_module, "buchberger", recording_buchberger)
     monkeypatch.setattr(fan_module, "interreduce", recording_interreduce)
-    mixed = 0
+    mixed = known = 0
     for c, n in SWEEP_CASES:
         sg = AffineSemigroup.from_support_cone(c)
         steps.clear()
@@ -221,11 +222,14 @@ def test_every_flip_matches_the_full_buchberger_step(monkeypatch):
             assert flip == initial_basis(w, reference), (c, n, gc.cone)
             mixed += {len(g.terms) == 1 for g in ideal.generators} == {True, False}
             assert len(lifts) == len(flip.elements)
+            initial = {initial_form(w, g) for g, _ in prev.basis.elements}
             for (h, m), (f, mf) in zip(flip.elements, lifts):
                 assert initial_form(w, h) == h
                 assert initial_form(w, f) == h and mf == m
                 assert leading_monomial(ord, f) == leading_monomial(ord, h) == m
-    assert mixed
+                assert f == h - normal_form(h, prev.basis), (c, n, gc.cone, m)
+                known += h in initial
+    assert mixed and known
 
 
 def test_sweep_keeps_its_non_integer_coefficients():

@@ -27,6 +27,7 @@ from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
 from nashfan.semigroup import AffineSemigroup, divides
 
 from oracles import certified, enumerate_below, in_dual, in_jn, s_polynomials, standard_set
+from test_algebra import typed_terms
 from test_nash import cyclic_cones
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
@@ -276,9 +277,9 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
             calls.append((list(table), r))
         return r
 
-    def marking(pairs, ord):
+    def marking(pairs, ord, undercut):
         final.append(True)
-        return interreduce(pairs, ord)
+        return interreduce(pairs, ord, undercut)
 
     monkeypatch.setattr(groebner, "_reduce", recording)
     monkeypatch.setattr(groebner, "interreduce", marking)
@@ -295,6 +296,42 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
                 g = groebner._primitive(r)
                 working.append((g, leading_monomial(ord, g)))
         assert len(calls) > len(ideal.generators) and len(working) > 4
+
+
+def typed_elements(basis):
+    """A basis's marks and terms in order, each coefficient with its type."""
+    return [(m, typed_terms(g)) for g, m in basis.elements]
+
+
+def test_final_pass_re_reduces_only_undercut_elements(a3, monkeypatch):
+    """buchberger's final pass, which re-reduces only the elements that a
+    later insert undercut, equals interreduce re-reducing every element,
+    term order and coefficient types included: on the A3 tower to n = 10
+    and on every run of the sweeps of the cyclic cones with d <= 9 and
+    n <= 3, their towers and every flip.  Some of those runs undercut an
+    element, and some re-reduction there changes the element."""
+    interreduce = groebner.interreduce
+    runs, undercut_runs, changed = 0, 0, 0
+
+    def both(pairs, ord, undercut):
+        nonlocal runs, undercut_runs, changed
+        got = interreduce(pairs, ord, undercut)
+        assert typed_elements(got) == typed_elements(interreduce(pairs, ord))
+        runs += 1
+        undercut_runs += bool(undercut)
+        kept = dict((m, g) for g, m in got.elements)
+        changed += sum(m in kept and kept[m] != g * Fraction(1, g.terms[m]) for g, m in pairs)
+        return got
+
+    monkeypatch.setattr(groebner, "interreduce", both)
+    sg, ordering = a3
+    list(itertools.islice(nash_module.jn_bases(sg, ordering), 10))
+    assert runs == 10
+    for c in cyclic_cones(9):
+        csg = AffineSemigroup.from_support_cone(c)
+        for n in (1, 2, 3):
+            groebner_fan(jn_basis_at(csg, sweep_start(csg), n))
+    assert undercut_runs > 0 and changed > 0
 
 
 def test_normal_form_matches_reference_division():
