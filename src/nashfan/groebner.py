@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import cone_coords, count_below, cross, points_below, vsub
+from .lattice import cone_coords, cross, points_below, vsub
 from .semigroup import AffineSemigroup, min_common_multiples
 
 
@@ -66,9 +66,11 @@ class Ideal:
 class MarkedBasis:
     """Reduced Groebner basis with marked leading monomials.
 
-    Elements are stored sorted lexicographically by mark so that equal
-    bases compare equal regardless of the ordering that produced them.
-    Nothing is checked here: ``interreduce`` defines a reduced basis, and
+    Elements are stored sorted lexicographically by mark, so that a basis
+    built in another element order (``interreduce``'s increasing-mark
+    order, or a JSON file's order) compares equal, and so that ``to_json``
+    and ``gb``'s text output list the elements in this order.  Nothing is
+    checked here: ``interreduce`` defines a reduced basis, and
     ``from_json`` checks outside input against it.
     """
 
@@ -261,7 +263,7 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     ideal's ``marks``, when given, stand in for the generators' leading
     monomials in that order and nowhere else.  Given the ideal's
     ``colength``, the run stops once the working marks leave exactly that
-    many standard monomials, counted by ``lattice.count_below`` after each
+    many standard monomials, built by ``lattice.points_below`` after each
     addition (Traverso, J. Symb. Comput. 1996): the marks' standard set
     contains the ideal's, so equal sizes make the working basis a Groebner
     basis.  A colength too large could stop early; one too small never
@@ -314,7 +316,8 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         table.insert(i, _divisor(g, mr, ord))
         if ideal.colength is None:
             return False
-        return count_below(dual, [m for _, m in basis]) == ideal.colength
+        std = points_below(dual, [m for _, m in basis])
+        return std is not None and len(std) == ideal.colength
 
     # reduce-on-insert keeps the working basis small from the start; the
     # normalization does not read the marks, only the order does

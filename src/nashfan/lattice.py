@@ -139,10 +139,8 @@ def minimal_points(c: Cone2, lo1: int, lo2: int) -> set:
     return points
 
 
-def _columns_below(c: Cone2, corners):
-    """(point, columns): the β values of the lattice points of c that no
-    corner divides, as one range per column α = 0, 1, ...; None if there
-    are infinitely many.
+def points_below(c: Cone2, corners) -> set | None:
+    """The lattice points of c that no corner divides, or None if infinitely many.
 
     They are finitely many iff a corner lies on each ray of c.  The walk
     takes the columns of ``_columns`` from α = 0, each up to the lowest β
@@ -152,25 +150,11 @@ def _columns_below(c: Cone2, corners):
     if all(a for a, _ in coords) or all(b for _, b in coords):
         return None
     d, t, point = _columns(c)
-    columns = []
-    while height := min(b for am, b in coords if am <= len(columns)):
-        columns.append(range(len(columns) * t % d, height, d))
-    return point, columns
-
-
-def points_below(c: Cone2, corners) -> set | None:
-    """The lattice points of c that no corner divides, or None if infinitely many."""
-    walk = _columns_below(c, corners)
-    if walk is None:
-        return None
-    point, columns = walk
-    return {point(a, b) for a, column in enumerate(columns) for b in column}
-
-
-def count_below(c: Cone2, corners) -> int | None:
-    """len(points_below(c, corners)), by arithmetic on the column lengths."""
-    walk = _columns_below(c, corners)
-    return None if walk is None else sum(map(len, walk[1]))
+    points, a = set(), 0
+    while height := min(b for am, b in coords if am <= a):
+        points.update(point(a, b) for b in range(a * t % d, height, d))
+        a += 1
+    return points
 
 
 def hilbert_basis(c: Cone2) -> set:

@@ -33,11 +33,12 @@ def _to_px(p, height_units):
     return x, y
 
 
-def _fmt(v) -> str:
-    f = Fraction(v).limit_denominator(10 ** 6)
+def _fmt(f: Fraction) -> str:
+    """f exactly if integral, else to two decimals, ties to even; f >= 0."""
     if f.denominator == 1:
         return str(f.numerator)
-    return f"{float(f):.2f}"
+    q = round(f * 100)
+    return f"{q // 100}.{q % 100:02d}"
 
 
 def pn_dn_figure(n: int) -> str:
@@ -84,7 +85,11 @@ def pn_dn_figure(n: int) -> str:
 
 
 def fan_figure(cones) -> str:
-    """The fan inside its support cone, rays drawn to a fixed radius."""
+    """The fan inside its support cone, rays drawn to a fixed radius.
+
+    Coordinates are exact Fractions until ``_fmt`` prints them, and every
+    one is positive: the ray ends lie within radius·UNIT of the centre.
+    """
     rays = [cones[0].cone.ray1] + [gc.cone.ray2 for gc in cones]
     radius = 6  # lattice units
     width = height = 2 * (radius + 2 * MARGIN)
@@ -93,7 +98,7 @@ def fan_figure(cones) -> str:
 
     def ray_end(r):
         scale = Fraction(radius, max(abs(r[0]), abs(r[1])))
-        return ox + float(scale * r[0]) * UNIT, oy - float(scale * r[1]) * UNIT
+        return ox + scale * r[0] * UNIT, oy - scale * r[1] * UNIT
 
     body = []
     for r in rays:

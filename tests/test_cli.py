@@ -1,5 +1,6 @@
 import gc
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from click.testing import CliRunner, _NamedTextIOWrapper
@@ -10,6 +11,7 @@ from nashfan import groebner
 from nashfan.cli import main
 from nashfan.groebner import MarkedBasis
 from nashfan.nash import a3_ordering
+from nashfan.render import _fmt
 
 
 def run(*args):
@@ -72,15 +74,18 @@ def test_nash_verdicts():
 
 def test_nash_json_bytes_match_golden():
     """The exact bytes of ``nash``, ``fan`` and ``gb --format json``, key
-    order and indent included.
+    order and indent included, and of ``fan --format svg``, coordinates
+    included.
 
     The second cone's dual leaves the first quadrant."""
     golden = Path(__file__).parent / "golden"
-    for args, name in ((("nash", "--cone", "0,1,7,-3", "--n", "2"), "nash_0_1_7_-3_n2.json"),
-                       (("nash", "--cone", "1,0,1,2", "--n", "1"), "nash_1_0_1_2_n1.json"),
-                       (("fan", "--n", "4"), "fan_n4.json"),
-                       (("gb", "--n", "8"), "gb_n8.json")):
-        result = run(*args, "--format", "json")
+    for args, name in (("nash --cone 0,1,7,-3 --n 2 --format json", "nash_0_1_7_-3_n2.json"),
+                       ("nash --cone 1,0,1,2 --n 1 --format json", "nash_1_0_1_2_n1.json"),
+                       ("fan --n 4 --format json", "fan_n4.json"),
+                       ("gb --n 8 --format json", "gb_n8.json"),
+                       ("fan --n 3 --format svg", "fan_n3.svg"),
+                       ("fan --n 12 --format svg", "fan_n12.svg")):
+        result = run(*args.split())
         assert result.exit_code == 0, result.output
         assert result.stdout_bytes == (golden / name).read_bytes(), name
 
@@ -163,6 +168,13 @@ def test_figures_marker_counts(tmp_path):
     svg2 = out2.read_text()
     assert svg2.count('class="p-marker"') == 5
     assert svg2.count('class="d-marker"') == 6
+
+
+def test_svg_numbers_are_exact_or_two_decimals_ties_to_even():
+    assert _fmt(Fraction(7)) == "7"
+    assert _fmt(Fraction(1, 8)) == "0.12"
+    assert _fmt(Fraction(3, 8)) == "0.38"
+    assert _fmt(Fraction(5, 2)) == "2.50"
 
 
 def test_figures_deterministic(tmp_path):

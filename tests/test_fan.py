@@ -60,7 +60,7 @@ def test_two_zero_lies_strictly_inside_the_cone_of_gb_j1(a3, jn_basis):
                 assert vdot(vsub(mark, e), w) > 0
 
 
-def test_gb_j1_is_unchanged_by_weight_refine_at_interior_weights(a3, jn_basis):
+def test_gb_j1_is_unchanged_by_refining_at_interior_weights(a3, jn_basis):
     sg, ordering = a3
     ideal = jn_generators(sg, 1)
     at_20 = buchberger(ideal, refined(ordering, (2, 0)))

@@ -7,7 +7,6 @@ from nashfan.lattice import (
     NotFullDimensional,
     cone_from_inequalities,
     contains,
-    count_below,
     cross,
     dual_cone,
     hilbert_basis,
@@ -244,12 +243,8 @@ def test_points_below_is_the_filtered_box():
             for ray in (c.ray1, c.ray2):
                 off_ray = [q for q in corners if cross(q, ray) != 0]
                 assert points_below(c, off_ray) is None, (c, off_ray)
-                assert count_below(c, off_ray) is None, (c, off_ray)
             assert points_below(c, corners + [(0, 0)]) == set()
-            for some in (corners, corners + [(0, 0)], on_rays):
-                assert count_below(c, some) == len(points_below(c, some)), (c, some)
     assert points_below(SIGMA_DUAL, []) is None
-    assert count_below(SIGMA_DUAL, []) is None
 
 
 def test_multiplicity_examples():
