@@ -48,6 +48,7 @@ def poly_str(g, mark, ordering) -> str:
 
 
 def _write(text: str, out) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -55,7 +56,7 @@ def _write(text: str, out) -> None:
         # without file=, click caches the stream it resolves in a
         # WeakKeyDictionary whose value is its key: a CliRunner's capture
         # buffer would then never be freed
-        click.echo(text, nl=not text.endswith("\n"), file=sys.stdout)
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def engine_errors(f):

@@ -3,14 +3,17 @@
 Nothing under ``src/nashfan`` calls these: bounded enumeration of semigroup
 members, S-polynomials at every minimal common multiple, the ℚ[λ] gcd that
 checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the
-reduced basis of J_n which never calls ``buchberger``, and the check that
-a list of cones tiles a support cone in angular order.
+reduced basis of J_n which never calls ``buchberger``, the check that
+a list of cones tiles a support cone in angular order, and an
+inter-reduction that divides every kept element.
 """
 
 import math
 from fractions import Fraction
 
-from nashfan.lattice import contains, vadd, vdot, vsub
+from nashfan.algebra import MatrixOrdering
+from nashfan.groebner import MarkedBasis, _divisor, _reduce
+from nashfan.lattice import cone_coords, contains, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_generators, phi_specialize
 from nashfan.semigroup import AffineSemigroup, min_common_multiples
 
@@ -195,3 +198,21 @@ def validate_fan(cones, support) -> bool:
         if a.ray2 != b.ray1:
             return False
     return all(contains(support, c.ray1) and contains(support, c.ray2) for c in cones)
+
+
+def full_interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
+    """``groebner.interreduce`` with no test before the division: every kept
+    element is divided by the kept ones, whether or not a kept mark divides
+    one of its terms, so the result's terms come in ``_reduce``'s
+    decreasing order."""
+    dual = ord.sg.dual_cone
+    kept, table = [], []
+    for g, m in sorted(pairs, key=lambda gm: ord.key(gm[1])):
+        a, b = cone_coords(dual, m)
+        if not any(a >= am and b >= bm for am, bm, _, _, _ in table):
+            g = _reduce(g, table, ord)
+            lc = g.terms[m]
+            g = g if lc == 1 else g * Fraction(1, lc)
+            kept.append((g, m))
+            table.append(_divisor(g, m, ord))
+    return MarkedBasis(tuple(kept), ord)

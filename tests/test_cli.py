@@ -72,22 +72,27 @@ def test_nash_verdicts():
     assert max(data["multiplicities"]) == 2
 
 
-def test_nash_json_bytes_match_golden():
+def test_nash_json_bytes_match_golden(tmp_path):
     """The exact bytes of ``nash``, ``fan`` and ``gb --format json``, key
     order and indent included, and of ``fan --format svg``, coordinates
-    included.
+    included; on stdout and in the file that ``--out`` writes.
 
     The second cone's dual leaves the first quadrant."""
     golden = Path(__file__).parent / "golden"
+    out = tmp_path / "out"
     for args, name in (("nash --cone 0,1,7,-3 --n 2 --format json", "nash_0_1_7_-3_n2.json"),
                        ("nash --cone 1,0,1,2 --n 1 --format json", "nash_1_0_1_2_n1.json"),
                        ("fan --n 4 --format json", "fan_n4.json"),
                        ("gb --n 8 --format json", "gb_n8.json"),
                        ("fan --n 3 --format svg", "fan_n3.svg"),
                        ("fan --n 12 --format svg", "fan_n12.svg")):
+        want = (golden / name).read_bytes()
         result = run(*args.split())
         assert result.exit_code == 0, result.output
-        assert result.stdout_bytes == (golden / name).read_bytes(), name
+        assert result.stdout_bytes == want, name
+        result = run(*args.split(), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == want, name
 
 
 def test_nash_usage_and_engine_errors():

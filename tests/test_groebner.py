@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,15 @@ from nashfan.lattice import Cone2, contains, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
 from nashfan.semigroup import AffineSemigroup, divides
 
-from oracles import certified, enumerate_below, in_dual, in_jn, s_polynomials, standard_set
+from oracles import (
+    certified,
+    enumerate_below,
+    full_interreduce,
+    in_dual,
+    in_jn,
+    s_polynomials,
+    standard_set,
+)
 from test_algebra import typed_terms
 from test_nash import cyclic_cones
 
@@ -277,9 +286,9 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
             calls.append((list(table), r))
         return r
 
-    def marking(pairs, ord, undercut):
+    def marking(pairs, ord):
         final.append(True)
-        return interreduce(pairs, ord, undercut)
+        return interreduce(pairs, ord)
 
     monkeypatch.setattr(groebner, "_reduce", recording)
     monkeypatch.setattr(groebner, "interreduce", marking)
@@ -298,40 +307,82 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
         assert len(calls) > len(ideal.generators) and len(working) > 4
 
 
-def typed_elements(basis):
-    """A basis's marks and terms in order, each coefficient with its type."""
-    return [(m, typed_terms(g)) for g, m in basis.elements]
+def test_final_pass_divides_exactly_the_elements_it_changes(a3, monkeypatch):
+    """interreduce, which divides a kept element only when a kept mark
+    divides one of its terms, equals full_interreduce, which divides every
+    kept element, coefficient types included: on every buchberger run and
+    every flip of the A3 tower to n = 10 and of the sweeps of the cyclic
+    cones with d <= 9 and n <= 3, their towers included.  Every division
+    that interreduce makes changes its input; the A3 tower makes none, the
+    sweeps some.  Term order is left out: an element kept undivided keeps
+    its input's order, and a flip's lift need not come in decreasing
+    order."""
+    interreduce, reduce = groebner.interreduce, groebner._reduce
+    runs, divisions = 0, []
 
-
-def test_final_pass_re_reduces_only_undercut_elements(a3, monkeypatch):
-    """buchberger's final pass, which re-reduces only the elements that a
-    later insert undercut, equals interreduce re-reducing every element,
-    term order and coefficient types included: on the A3 tower to n = 10
-    and on every run of the sweeps of the cyclic cones with d <= 9 and
-    n <= 3, their towers and every flip.  Some of those runs undercut an
-    element, and some re-reduction there changes the element."""
-    interreduce = groebner.interreduce
-    runs, undercut_runs, changed = 0, 0, 0
-
-    def both(pairs, ord, undercut):
-        nonlocal runs, undercut_runs, changed
-        got = interreduce(pairs, ord, undercut)
-        assert typed_elements(got) == typed_elements(interreduce(pairs, ord))
+    def checked(pairs, ord):
+        nonlocal runs
+        got = interreduce(pairs, ord)
+        want = full_interreduce(pairs, ord)
+        assert sorted_typed_elements(got) == sorted_typed_elements(want)
         runs += 1
-        undercut_runs += bool(undercut)
-        kept = dict((m, g) for g, m in got.elements)
-        changed += sum(m in kept and kept[m] != g * Fraction(1, g.terms[m]) for g, m in pairs)
         return got
 
-    monkeypatch.setattr(groebner, "interreduce", both)
+    def dividing(f, table, ord):
+        r = reduce(f, table, ord)
+        if sys._getframe(1).f_code is interreduce.__code__:
+            divisions.append(r != f)
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce", dividing)
+    monkeypatch.setattr(groebner, "interreduce", checked)
+    monkeypatch.setattr(fan_module, "interreduce", checked)
     sg, ordering = a3
     list(itertools.islice(nash_module.jn_bases(sg, ordering), 10))
-    assert runs == 10
+    assert runs == 10 and divisions == []
     for c in cyclic_cones(9):
         csg = AffineSemigroup.from_support_cone(c)
         for n in (1, 2, 3):
             groebner_fan(jn_basis_at(csg, sweep_start(csg), n))
-    assert undercut_runs > 0 and changed > 0
+    assert len(divisions) > 0 and all(divisions)
+
+
+def sorted_typed_elements(basis):
+    """A basis's marks and terms, the terms sorted, each coefficient with its type."""
+    return [(m, sorted(typed_terms(g))) for g, m in basis.elements]
+
+
+def test_interreduce_needs_no_promise_from_its_caller(a3):
+    """A reduced basis with one element g_i polluted by c x^s g_j, where
+    mark(g_j) + s lies below mark(g_i), so that the mark stays leading and
+    mark(g_j) divides a tail term: interreduce returns the basis itself,
+    and from_json rejects the polluted one.  On each tower basis for
+    n <= 6 and each basis of the sweep of cone((0,1),(7,-3)) at n = 2,
+    every element but the first is polluted in turn."""
+    rng = random.Random(18)
+    sg, ordering = a3
+    bases = list(itertools.islice(nash_module.jn_bases(sg, ordering), 6))
+    csg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    bases += [gc.basis for gc in groebner_fan(jn_basis_at(csg, sweep_start(csg), 2))]
+    polluted = 0
+    for basis in bases:
+        ord = basis.ordering
+        shifts = [(0, 0), *basis.sg.generators]
+        elems = sorted(basis.elements, key=lambda gm: ord.key(gm[1]))
+        for i, (g, m) in enumerate(elems):
+            below = [(j, s) for j in range(i) for s in shifts
+                     if ord.key(vadd(elems[j][1], s)) < ord.key(m)]
+            if not below:
+                continue
+            j, s = rng.choice(below)
+            c = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+            pairs = list(elems)
+            pairs[i] = (g + elems[j][0].shift(s) * c, m)
+            assert groebner.interreduce(pairs, ord) == basis, (m, elems[j][1], s)
+            with pytest.raises(ValueError, match="a mark divides a term"):
+                MarkedBasis.from_json(ord, MarkedBasis(tuple(pairs), ord).to_json())
+            polluted += 1
+    assert len(bases) > 6 and polluted > 50
 
 
 def test_normal_form_matches_reference_division():
