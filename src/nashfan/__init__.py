@@ -42,7 +42,6 @@ from .fan import (
 )
 from .nash import (
     PnFamily,
-    VerificationReport,
     a3_ordering,
     a3_semigroup,
     dn_set,
@@ -52,8 +51,6 @@ from .nash import (
     phi_linear,
     phi_specialize,
     pn_family,
-    psi,
-    theta,
     verify_paper,
 )
 

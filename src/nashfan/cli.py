@@ -150,16 +150,16 @@ def verify(n_max, fmt, out):
     """Recheck every per-n paper fact; exit 1 if any claim fails."""
     report = verify_paper(n_max)
     if fmt == "json":
-        _write(json.dumps(report.to_json(), indent=2), out)
+        _write(json.dumps(report, indent=2), out)
     else:
         lines = [
-            f"n={c.n} claim {c.claim_id}: {'PASS' if c.passed else 'FAIL'}"
-            + (f"  ({c.witness})" if c.witness else "")
-            for c in report.claims
+            f"n={c['n']} claim {c['claim_id']}: {'PASS' if c['pass'] else 'FAIL'}"
+            + (f"  ({c['witness']})" if c["witness"] else "")
+            for c in report["claims"]
         ]
-        lines.append("ALL PASS" if report.all_passed else "FAILURES PRESENT")
+        lines.append("ALL PASS" if report["all_passed"] else "FAILURES PRESENT")
         _write("\n".join(lines), out)
-    if not report.all_passed:
+    if not report["all_passed"]:
         sys.exit(1)
 
 

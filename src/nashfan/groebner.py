@@ -119,9 +119,10 @@ class MarkedBasis:
 def _divisor(g: Poly, mark, ord: MatrixOrdering) -> tuple:
     """The row of a divisor table for g marked at mark: (α, β, lc, tail, mark).
 
-    Readers unpack a row by these names, except the scan of ``_reduce``,
-    which reads α and β by index: in a CPython 3.11 microbenchmark over
-    100 rows, unpacking each row made the scan 30% slower.
+    Readers unpack a row by these names, except the per-term scans of
+    ``_reduce`` and ``interreduce``, which read α and β by index: in a
+    CPython 3.11 microbenchmark over 100 rows, unpacking each row made the
+    scan 30% slower.
 
     The tail is a list: tuples of many different small lengths would fill
     CPython's per-length tuple free lists, which only a full garbage
@@ -276,7 +277,9 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     colength stops during reduce-on-insert computes no minimal common
     multiple.  Then the pairs (i, j) of the working basis are pushed by
     increasing j, then i, and those of each later element right after it
-    is added, unless the run has stopped.
+    is added, unless the run has stopped.  The heap pops them by the key
+    of m, then by j, then by i: the order they were pushed in among equal
+    keys, since the minimal common multiples of one pair have distinct keys.
 
     The working basis is fraction-free: every element, generators included,
     is stored as a primitive integer polynomial (coprime coefficients) with
@@ -293,7 +296,6 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     table = []
     heap = []
     reductions = 0
-    tiebreak = itertools.count()
 
     def insert(f) -> bool:
         r = _reduce(f, table, ord)
@@ -321,11 +323,11 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         for j in range(pushed, len(basis)):
             for i in range(j):
                 for m in min_common_multiples(sg, basis[i][1], basis[j][1]):
-                    heapq.heappush(heap, (ord.key(m), next(tiebreak), i, j, m))
+                    heapq.heappush(heap, (ord.key(m), j, i, m))
         pushed = len(basis)
         if not heap:
             break
-        _, _, i, j, m = heapq.heappop(heap)
+        _, j, i, m = heapq.heappop(heap)
         if reductions >= MAX_REDUCTIONS:
             raise PairQueueExhausted(f"more than {MAX_REDUCTIONS} S-pair reductions")
         reductions += 1

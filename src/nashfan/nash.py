@@ -1,7 +1,8 @@
-"""The A3 application layer: J_n (the ``jn_bases`` tower, and the product
-expansion ``jn_generators`` that tests and the benchmark compare it with),
-the P_n/D_n families, the Laurent specialization φ, Nash-blowup fans, and
-the verification report."""
+"""The A3 application layer: J_n (the ``jn_bases`` tower, capped at
+``MAX_GENERATORS`` semigroup generators, and the product expansion
+``jn_generators`` that tests and the benchmark compare it with), the
+P_n/D_n families, the Laurent specialization φ, Nash-blowup fans, and
+``verify_paper``, whose report is the dict that ``verify`` prints."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from .algebra import ContextMismatch, MatrixOrdering, Poly
 from .fan import cone_of_basis, groebner_fan, sweep_start
 from .groebner import Ideal, buchberger, normal_form, standard_monomials
-from .lattice import Cone2, Vec, multiplicity, vadd, vdot, vscale, vsub
+from .lattice import Cone2, Vec, multiplicity, vadd, vscale, vsub
 from .semigroup import AffineSemigroup, divides
 
 
@@ -40,6 +41,11 @@ def jn_generators(sg: AffineSemigroup, n: int) -> Ideal:
     return Ideal(gens)
 
 
+# the most semigroup generators jn_bases takes: at n = 1 it builds one
+# product per pair of them, about 500,000 at the cap
+MAX_GENERATORS = 1000
+
+
 def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     """GB(J_1), GB(J_2), ... under one fixed ordering, each from the one before.
 
@@ -57,7 +63,13 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     ``buchberger`` stops at the colength N = (n+1)(n+2)/2 of J_n: I is the
     maximal ideal of the identity of the torus, a smooth point, so
     dim S/I^(n+1) counts the monomials of degree <= n in two variables.
+
+    A semigroup with more than ``MAX_GENERATORS`` generators raises
+    ``ValueError`` before any product is built.
     """
+    if len(sg.generators) > MAX_GENERATORS:
+        raise ValueError(f"the semigroup has {len(sg.generators)} generators, "
+                         f"above the cap of {MAX_GENERATORS}")
     gens = [(Poly.monomial(sg, a) - 1, a) for a in sg.generators]
     for n in itertools.count(1):
         polys, marks = zip(*(
@@ -138,10 +150,6 @@ def dn_set(n: int) -> set:
     return d
 
 
-def theta(a: Vec) -> Vec:
-    return vadd(a, (1, 1))
-
-
 def phi_linear(a: Vec) -> int:
     return a[1] - a[0]
 
@@ -151,12 +159,6 @@ def l_vector(n: int) -> Vec:
     if n % 2 == 1:
         return (2 * n - 2, -n + 2)
     return (2 * n, -n + 1)
-
-
-def psi(n: int, a: Vec) -> int:
-    if n < 2:
-        raise ValueError("psi is defined for n >= 2")
-    return vdot(l_vector(n), a)
 
 
 # ---------------------------------------------------------------------------
@@ -176,117 +178,69 @@ def phi_specialize(f: Poly) -> dict:
 # ---------------------------------------------------------------------------
 # verification report
 
-@dataclass(frozen=True)
-class ClaimResult:
-    n: int
-    claim_id: str
-    statement: str
-    passed: bool
-    witness: str
+def verify_paper(n_max: int) -> dict:
+    """Recompute every checkable per-n fact about GB(J_n) up to n_max.
 
-
-@dataclass(frozen=True)
-class VerificationReport:
-    n_max: int
-    claims: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.claims)
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "all_passed": self.all_passed,
-            "claims": [
-                {
-                    "n": c.n,
-                    "claim_id": c.claim_id,
-                    "statement": c.statement,
-                    "pass": c.passed,
-                    "witness": c.witness,
-                }
-                for c in self.claims
-            ],
-        }
-
-
-def verify_paper(n_max: int) -> VerificationReport:
-    """Recompute every checkable per-n fact about GB(J_n) up to n_max."""
+    The report is the dict that ``verify --format json`` prints: ``n_max``,
+    ``all_passed`` and one ``claims`` record per claim, keyed ``n``,
+    ``claim_id``, ``statement``, ``pass``, ``witness``.  A witness is
+    formatted only for a failing claim and is empty otherwise.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     sg = a3_semigroup()
     ordering = a3_ordering(sg)
     claims = []
+
+    def claim(claim_id, statement, ok, witness=lambda: ""):
+        claims.append({"n": n, "claim_id": claim_id, "statement": statement,
+                       "pass": ok, "witness": "" if ok else witness()})
+
     prev_basis = prev_fam = None
     dn = set(D_1)
     for n, basis in zip(range(1, n_max + 1), jn_bases(sg, ordering)):
         fam = pn_family(n)
         if n >= 2:
             dn |= prev_fam.points() - fam.points()
-        by_mark = {m: g for g, m in basis.elements}
 
-        marks_ok = basis.marks() == fam.points()
-        claims.append(ClaimResult(
-            n, "a", "marks of the reduced basis equal the predicted family",
-            marks_ok, "" if marks_ok else f"marks={sorted(basis.marks())}",
-        ))
+        claim("a", "marks of the reduced basis equal the predicted family",
+              basis.marks() == fam.points(), lambda: f"marks={sorted(basis.marks())}")
 
         std = standard_monomials(basis)
-        std_ok = std == dn and len(dn) == (n + 1) * (n + 2) // 2
-        claims.append(ClaimResult(
-            n, "b", "standard monomials equal D_n of size (n+1)(n+2)/2",
-            std_ok, "" if std_ok else f"standard={sorted(std)}",
-        ))
+        claim("b", "standard monomials equal D_n of size (n+1)(n+2)/2",
+              std == dn and len(dn) == (n + 1) * (n + 2) // 2, lambda: f"standard={sorted(std)}")
 
         gc = cone_of_basis(basis)
-        expected_cone = Cone2((2, -1), l_vector(n))
-        cone_ok = gc.cone == expected_cone
-        claims.append(ClaimResult(
-            n, "c", "cone of the basis has rays (2,-1) and the parity ray",
-            cone_ok, "" if cone_ok else f"cone={gc.cone}",
-        ))
+        claim("c", "cone of the basis has rays (2,-1) and the parity ray",
+              gc.cone == Cone2((2, -1), l_vector(n)), lambda: f"cone={gc.cone}")
 
-        mult_ok = multiplicity(gc.cone) == 2
-        claims.append(ClaimResult(
-            n, "d", "cone multiplicity is 2 (an A1 singularity)",
-            mult_ok, "" if mult_ok else f"multiplicity={multiplicity(gc.cone)}",
-        ))
+        mult = multiplicity(gc.cone)
+        claim("d", "cone multiplicity is 2 (an A1 singularity)",
+              mult == 2, lambda: f"multiplicity={mult}")
 
         if n >= 2:
             if n % 2 == 1:
                 mark, needed = fam.q[(n - 1) // 2], prev_fam.r[(n - 1) // 2]
             else:
                 mark, needed = fam.p, prev_fam.s
-            g = by_mark.get(mark)
-            supp_ok = g is not None and needed in g.support()
-            claims.append(ClaimResult(
-                n, "e", "the second-ray witness monomial appears in the expected element",
-                supp_ok, "" if supp_ok else f"element marked {mark} misses {needed}",
-            ))
+            g = next((g for g, m in basis.elements if m == mark), None)
+            claim("e", "the second-ray witness monomial appears in the expected element",
+                  g is not None and needed in g.support(),
+                  lambda: f"element marked {mark} misses {needed}")
 
-            colon_ok = all(
+            claim("f", "(uv-1) times every previous basis element lies in J_n", all(
                 normal_form(g.shift_sub((1, 1), g, (0, 0)), basis).is_zero
                 for g, _ in prev_basis.elements
-            )
-            claims.append(ClaimResult(
-                n, "f", "(uv-1) times every previous basis element lies in J_n",
-                colon_ok, "",
             ))
 
         if n % 2 == 0:
             dropped = prev_fam.points() - fam.points()
-            bad = [
-                m for g, m in basis.elements
-                if m in dropped and phi_specialize(g)
-            ]
-            claims.append(ClaimResult(
-                n, "g", "phi annihilates basis elements marked in the dropped strand",
-                not bad, "" if not bad else f"phi nonzero at marks {bad}",
-            ))
+            bad = [m for g, m in basis.elements if m in dropped and phi_specialize(g)]
+            claim("g", "phi annihilates basis elements marked in the dropped strand",
+                  not bad, lambda: f"phi nonzero at marks {bad}")
 
         prev_basis, prev_fam = basis, fam
-    return VerificationReport(n_max, tuple(claims))
+    return {"n_max": n_max, "all_passed": all(c["pass"] for c in claims), "claims": claims}
 
 
 # ---------------------------------------------------------------------------

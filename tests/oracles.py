@@ -1,8 +1,9 @@
 """Reference computations that the tests compare the engine against.
 
 Nothing under ``src/nashfan`` calls these: bounded enumeration of semigroup
-members, S-polynomials at every minimal common multiple, the ℚ[λ] gcd that
-checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the
+members, S-polynomials at every minimal common multiple, the strand shift θ
+and the pairing ψ with the second ray of the cone of GB(J_n), the ℚ[λ] gcd
+that checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the
 reduced basis of J_n which never calls ``buchberger``, the check that
 a list of cones tiles a support cone in angular order, and an
 inter-reduction that divides every kept element.
@@ -14,7 +15,7 @@ from fractions import Fraction
 from nashfan.algebra import MatrixOrdering
 from nashfan.groebner import MarkedBasis, _divisor, _reduce
 from nashfan.lattice import cone_coords, contains, vadd, vdot, vsub
-from nashfan.nash import a3_semigroup, jn_generators, phi_specialize
+from nashfan.nash import a3_semigroup, jn_generators, l_vector, phi_specialize
 from nashfan.semigroup import AffineSemigroup, min_common_multiples
 
 
@@ -93,6 +94,18 @@ def _remainder(a, b):
         while a and not a[-1]:
             a.pop()
     return a
+
+
+def theta(a):
+    """The shift a + (1, 1) that carries the strands of P_n into P_(n+1)."""
+    return vadd(a, (1, 1))
+
+
+def psi(n: int, a) -> int:
+    """The pairing of a with the second ray l_n of the cone of GB(J_n), n >= 2."""
+    if n < 2:
+        raise ValueError("psi is defined for n >= 2")
+    return vdot(l_vector(n), a)
 
 
 def phi_ideal_is_power(n: int) -> bool:

@@ -28,12 +28,10 @@ from nashfan.nash import (
     phi_linear,
     phi_specialize,
     pn_family,
-    psi,
-    theta,
 )
 from nashfan.semigroup import divides, min_common_multiples
 
-from oracles import phi_ideal_is_power, s_polynomials, validate_fan
+from oracles import phi_ideal_is_power, psi, s_polynomials, theta, validate_fan
 from test_semigroup import mcm_oracle, random_member
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"

@@ -73,9 +73,10 @@ def test_nash_verdicts():
 
 
 def test_nash_json_bytes_match_golden(tmp_path):
-    """The exact bytes of ``nash``, ``fan`` and ``gb --format json``, key
-    order and indent included, and of ``fan --format svg``, coordinates
-    included; on stdout and in the file that ``--out`` writes.
+    """The exact bytes of ``nash``, ``fan``, ``gb`` and ``verify --format
+    json``, key order and indent included, of ``verify``'s text report, and
+    of ``fan --format svg``, coordinates included; on stdout and in the file
+    that ``--out`` writes.
 
     The second cone's dual leaves the first quadrant."""
     golden = Path(__file__).parent / "golden"
@@ -85,7 +86,9 @@ def test_nash_json_bytes_match_golden(tmp_path):
                        ("fan --n 4 --format json", "fan_n4.json"),
                        ("gb --n 8 --format json", "gb_n8.json"),
                        ("fan --n 3 --format svg", "fan_n3.svg"),
-                       ("fan --n 12 --format svg", "fan_n12.svg")):
+                       ("fan --n 12 --format svg", "fan_n12.svg"),
+                       ("verify --n-max 6 --format json", "verify_n6.json"),
+                       ("verify --n-max 6", "verify_n6.txt")):
         want = (golden / name).read_bytes()
         result = run(*args.split())
         assert result.exit_code == 0, result.output
@@ -109,6 +112,15 @@ def test_reduction_cap_is_an_error_not_a_traceback(monkeypatch):
     assert result.exit_code == 2
     assert result.stderr == "error: more than 0 S-pair reductions\n"
     assert result.stdout == "" and "Traceback" not in result.output
+
+
+def test_generator_cap_is_an_error_not_a_hang():
+    """A cone whose semigroup has 100,001 generators ends in exit 2 before
+    J_n builds a product."""
+    result = run("nash", "--cone", "0,1,100000,-1", "--n", "1")
+    assert result.exit_code == 2
+    assert result.stderr == "error: the semigroup has 100001 generators, above the cap of 1000\n"
+    assert result.stdout == ""
 
 
 def test_out_into_missing_directory(tmp_path):
@@ -160,6 +172,27 @@ def test_verify_small():
     text = run("verify", "--n-max", "1")
     assert text.exit_code == 0
     assert "ALL PASS" in text.output
+
+
+def test_verify_reports_a_failing_claim(monkeypatch):
+    """A wrong parity ray fails claim c at every n: its records carry the
+    cone as witness, every other record an empty one, and the exit code is 1."""
+    monkeypatch.setattr(nashfan.nash, "l_vector", lambda n: (1, 0))
+    text = run("verify", "--n-max", "3")
+    assert text.exit_code == 1
+    lines = text.output.splitlines()
+    assert any(line.startswith("n=1 claim c: FAIL  (cone=") for line in lines)
+    assert lines[-1] == "FAILURES PRESENT"
+    result = run("verify", "--n-max", "3", "--format", "json")
+    assert result.exit_code == 1
+    data = json.loads(result.output)
+    assert data["all_passed"] is False
+    for c in data["claims"]:
+        if c["claim_id"] == "c":
+            assert c["pass"] is False and c["witness"], c
+        else:
+            assert c["pass"] is True and c["witness"] == "", c
+    assert [c["n"] for c in data["claims"] if c["claim_id"] == "c"] == [1, 2, 3]
 
 
 def test_figures_marker_counts(tmp_path):
