@@ -116,17 +116,14 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def shift(self, exp: Vec) -> "Poly":
-        """Multiply by the monomial x^exp."""
-        return Poly._make(self.sg, {vadd(e, exp): c for e, c in self.terms.items()})
-
     def shift_sub(self, a: Vec, other: "Poly", b: Vec) -> "Poly":
         """x^a * self - x^b * other, in one pass over the two term dicts.
 
         Terms that cancel are dropped.  Only a summed coefficient can turn
         integral, so only those are demoted; a shifted or negated term keeps
-        its coefficient's type.  The terms come in the order of
-        ``self.shift(a) - other.shift(b)``.
+        its coefficient's type.  The terms come in the order that
+        ``Poly.__sub__`` gives the two shifted polynomials: those of
+        x^a * self, then the others of x^b * other.
         """
         self._check(other)
         a0, a1 = a
@@ -169,33 +166,31 @@ class Poly:
 
 @dataclass(frozen=True)
 class MatrixOrdering:
-    """Monomial ordering by successive integer weight rows."""
+    """Monomial ordering by successive integer weight rows, stored as the
+    two that decide it: the first nonzero row p and the first row q
+    independent of p.  Every row before q is zero or a multiple of p, so
+    it ties whatever p ties, and p, q span R^2, so together they tie no
+    two distinct monomials: the given rows and (p, q) order the monomials
+    alike, and the two orderings compare equal.  Every generator must lie
+    above the unit."""
 
     rows: tuple
     sg: AffineSemigroup
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("ordering needs at least one row")
-        if not any(
-            cross(rows[i], rows[j])
-            for i in range(len(rows)) for j in range(i + 1, len(rows))
-        ):
+        rows = [tuple(r) for r in self.rows]
+        p = next((r for r in rows if r != (0, 0)), (0, 0))
+        q = next((r for r in rows if cross(p, r)), None)
+        if q is None:
             raise ValueError("rows do not span R^2; distinct monomials could compare equal")
+        object.__setattr__(self, "rows", (p, q))
         for g in self.sg.generators:
-            for r in rows:
-                d = vdot(r, g)
-                if d > 0:
-                    break
-                if d < 0:
-                    raise ValueError(f"row {r} orders generator {g} below the unit")
-            else:
-                raise ValueError(f"all rows vanish on generator {g}")
+            if self.key(g) <= (0, 0):
+                raise ValueError(f"rows {p}, {q} order generator {g} below the unit")
 
     def key(self, a: Vec) -> tuple:
-        return tuple(vdot(r, a) for r in self.rows)
+        (p0, p1), (q0, q1) = self.rows
+        return p0 * a[0] + p1 * a[1], q0 * a[0] + q1 * a[1]
 
 
 def leading_monomial(ord: MatrixOrdering, f: Poly) -> Vec:

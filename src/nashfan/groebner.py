@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import cone_coords, cross, points_below, vsub
+from .lattice import cone_coords, points_below, vsub
 from .semigroup import AffineSemigroup, min_common_multiples
 
 
@@ -173,15 +173,12 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     scanned in increasing mark order, so the first one that divides is the
     smallest.  Tables stay sorted because this keeps coefficients small: in
     insertion order, remainders of cone((0,1),(101,−1)) at n = 2 grew from
-    31 to 1,827 bits.  The heap is keyed on two rows of the ordering,
-    negated: the first nonzero row p and the first row independent of p.
-    Any row between them is a multiple of p, so these two order the
-    monomials as all the rows do.
+    31 to 1,827 bits.  The heap is keyed on the ordering's two rows,
+    negated.
     """
     dual = ord.sg.dual_cone
-    p = next(r for r in ord.rows if r != (0, 0))
-    q = next(r for r in ord.rows if cross(p, r))
-    p0, p1, q0, q1 = -p[0], -p[1], -q[0], -q[1]
+    (p0, p1), (q0, q1) = ord.rows
+    p0, p1, q0, q1 = -p0, -p1, -q0, -q1
     terms = dict(f.terms)
     out = {}
     heap = [(p0 * e0 + p1 * e1, q0 * e0 + q1 * e1, (e0, e1)) for e0, e1 in terms]

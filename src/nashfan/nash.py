@@ -14,7 +14,7 @@ from .algebra import ContextMismatch, MatrixOrdering, Poly
 from .fan import cone_of_basis, groebner_fan, sweep_start
 from .groebner import Ideal, buchberger, normal_form, standard_monomials
 from .lattice import Cone2, Vec, multiplicity, vadd, vscale, vsub
-from .semigroup import AffineSemigroup, divides
+from .semigroup import AffineSemigroup
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +101,6 @@ class PnFamily:
     q: tuple
     r: tuple
     s: Vec
-
-    def __post_init__(self):
-        pts = self.points()
-        if len(pts) != self.n + 3:
-            raise ValueError(f"family for n={self.n} has {len(pts)} points, expected {self.n + 3}")
-        sg = a3_semigroup()
-        for a in pts:
-            for b in pts:
-                if a != b and divides(sg, a, b):
-                    raise ValueError(f"family point {a} divides {b}")
 
     def points(self) -> set:
         return {self.p, *self.q, *self.r, self.s}

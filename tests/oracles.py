@@ -1,18 +1,18 @@
 """Reference computations that the tests compare the engine against.
 
 Nothing under ``src/nashfan`` calls these: bounded enumeration of semigroup
-members, S-polynomials at every minimal common multiple, the strand shift θ
-and the pairing ψ with the second ray of the cone of GB(J_n), the ℚ[λ] gcd
-that checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the
-reduced basis of J_n which never calls ``buchberger``, the check that
-a list of cones tiles a support cone in angular order, and an
-inter-reduction that divides every kept element.
+members, multiplication by a monomial, S-polynomials at every minimal
+common multiple, the strand shift θ and the pairing ψ with the second ray
+of the cone of GB(J_n), the ℚ[λ] gcd that checks φ(J_n) = ((λ - 1)^(n+1)),
+a certificate that a basis is the reduced basis of J_n which never calls
+``buchberger``, the check that a list of cones tiles a support cone in
+angular order, and an inter-reduction that divides every kept element.
 """
 
 import math
 from fractions import Fraction
 
-from nashfan.algebra import MatrixOrdering
+from nashfan.algebra import MatrixOrdering, Poly
 from nashfan.groebner import MarkedBasis, _divisor, _reduce
 from nashfan.lattice import cone_coords, contains, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_generators, l_vector, phi_specialize
@@ -55,11 +55,16 @@ def enumerate_below(sg, weight, bound: int) -> list:
     return found
 
 
+def shift(f, a):
+    """x^a * f, term by term in f's order."""
+    return Poly(f.sg, {vadd(e, a): c for e, c in f.terms.items()})
+
+
 def s_polynomials(p1, p2, sg: AffineSemigroup) -> list:
     """One S-polynomial per minimal common multiple of the two marks."""
     (g1, m1), (g2, m2) = p1, p2
     return [
-        g1.shift(vsub(m, m1)) - g2.shift(vsub(m, m2))
+        shift(g1, vsub(m, m1)) - shift(g2, vsub(m, m2))
         for m in sorted(min_common_multiples(sg, m1, m2))
     ]
 

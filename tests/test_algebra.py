@@ -15,9 +15,11 @@ from nashfan.algebra import (
     leading_monomial,
 )
 from nashfan.fan import groebner_fan, sweep_start
-from nashfan.lattice import Cone2, vsub
+from nashfan.lattice import Cone2, vdot, vscale, vsub
 from nashfan.nash import jn_basis_at
 from nashfan.semigroup import AffineSemigroup, divides
+
+from oracles import shift
 
 
 def random_member(sg, rng, span=4):
@@ -119,7 +121,7 @@ def typed_terms(f):
 
 
 def test_shift_sub_matches_shift_and_subtraction(a3):
-    """x^a f - x^b g in one pass against f.shift(a) - g.shift(b): the same
+    """x^a f - x^b g in one pass against shift(f, a) - shift(g, b): the same
     terms in the same order, each coefficient of the same type.  On random
     polys, on full cancellation, and on the ½ coefficients of the bases of
     a cyclic sweep, whose differences cancel to integers."""
@@ -129,7 +131,7 @@ def test_shift_sub_matches_shift_and_subtraction(a3):
         f, g = random_poly(sg, rng), random_poly(sg, rng)
         a, b = random_member(sg, rng), random_member(sg, rng)
         for x, h, y in ((a, g, b), (a, f, (0, 0)), ((0, 0), f + g, b)):
-            assert typed_terms(f.shift_sub(x, h, y)) == typed_terms(f.shift(x) - h.shift(y))
+            assert typed_terms(f.shift_sub(x, h, y)) == typed_terms(shift(f, x) - shift(h, y))
         assert f.shift_sub(a, f, a).is_zero
     csg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
     halves = [
@@ -143,7 +145,7 @@ def test_shift_sub_matches_shift_and_subtraction(a3):
         for g in halves:
             for a, b in [((0, 0), (0, 0)), *itertools.product(csg.generators, repeat=2)]:
                 got = f.shift_sub(a, g, b)
-                assert typed_terms(got) == typed_terms(f.shift(a) - g.shift(b))
+                assert typed_terms(got) == typed_terms(shift(f, a) - shift(g, b))
                 integral += sum(
                     type(c) is int and type(f.terms.get(vsub(e, a))) is Fraction
                     for e, c in got.terms.items()
@@ -168,12 +170,43 @@ def test_compare_examples(a3):
 
 def test_ordering_rejects_bad_rows(a3):
     sg, _ = a3
-    with pytest.raises(ValueError):
-        MatrixOrdering(((2, -1),), sg)            # rows do not span R^2
-    with pytest.raises(ValueError):
-        MatrixOrdering(((-1, 0), (0, 1)), sg)     # orders (1,0) below the unit
-    with pytest.raises(ValueError):
-        MatrixOrdering((), sg)
+    for rows in ((), ((2, -1),), ((0, 0), (0, 0)), ((2, -1), (-4, 2), (0, 0))):
+        with pytest.raises(ValueError, match="do not span"):
+            MatrixOrdering(rows, sg)
+    for rows in (((-1, 0), (0, 1)), ((0, 1), (-1, 0))):  # (1,0) below the unit
+        with pytest.raises(ValueError, match="below the unit"):
+            MatrixOrdering(rows, sg)
+
+
+def test_ordering_keeps_the_two_rows_that_decide(a3):
+    """An ordering stores its first nonzero row p and the first row q
+    independent of p.  Zero rows, and rows ±k·p before q, leave the stored
+    rows as they are, and the ordering equal to the two-row one; refined by
+    a weight in front, it keeps two rows too.  On random members, key
+    orders every pair as the lexicographic comparison over all the given
+    rows does."""
+    sg, ordering = a3
+    rng = random.Random(47)
+    members = [random_member(sg, rng) for _ in range(40)]
+    for base in (ordering, sweep_start(sg), MatrixOrdering(((0, 1), (1, 0)), sg)):
+        p, q = base.rows
+        padded = [
+            ((0, 0), p, q), (p, (0, 0), q), (p, vscale(2, p), q), (p, vscale(-1, p), q),
+            ((0, 0), p, (0, 0), vscale(-3, p), q, (5, 7)), (p, q, p),
+        ]
+        for rows in padded:
+            assert MatrixOrdering(rows, sg).rows == base.rows, rows
+            assert MatrixOrdering(rows, sg) == base, rows
+        refined = [(w, p, q) for w in ((2, -1), (1, 0), (4, -3), (0, 1))]
+        for rows in padded + refined:
+            ord = MatrixOrdering(rows, sg)
+            assert len(ord.rows) == 2
+            for a in members:
+                for b in members:
+                    lex_a = tuple(vdot(r, a) for r in rows)
+                    lex_b = tuple(vdot(r, b) for r in rows)
+                    assert (ord.key(a) < ord.key(b)) == (lex_a < lex_b), (rows, a, b)
+                    assert (ord.key(a) == ord.key(b)) == (lex_a == lex_b), (rows, a, b)
 
 
 def test_ordering_axioms_on_random_triples(a3):

@@ -34,6 +34,7 @@ from oracles import (
     in_dual,
     in_jn,
     s_polynomials,
+    shift,
     standard_set,
 )
 from test_algebra import typed_terms
@@ -85,7 +86,7 @@ def quotient_dim_oracle(sg, ideal, bound):
     for g in ideal.generators:
         top = max(e[0] + e[1] for e in g.support())
         for e in enumerate_below(sg, (1, 1), bound - top):
-            shifted = g.shift(e)
+            shifted = shift(g, e)
             if all(m in index for m in shifted.support()):
                 row = [Fraction(0)] * len(monos)
                 for m, c in shifted.terms.items():
@@ -109,7 +110,7 @@ def reference_reduce(f, pairs, ord):
         divisors = [(g, m) for g, m in pairs if divides(sg, m, e)]
         if divisors:
             g, m = min(divisors, key=lambda gm: ord.key(gm[1]))
-            r = r - r.terms[e] * g.shift(vsub(e, m))
+            r = r - r.terms[e] * shift(g, vsub(e, m))
         else:
             out, r = out + term, r - term
     return out
@@ -233,32 +234,23 @@ def test_reduce_pseudo_divides_by_non_monic_divisors():
                 assert got == want * (Fraction(got.terms[e]) / want.terms[e]), (c, ord)
 
 
-def padded_orderings(sg):
-    """kernel_orderings with a zero row in front and a multiple of the
-    first row, or its negative, before the second: the same orders."""
-    for ord in kernel_orderings(sg):
-        (p0, p1), q = ord.rows
-        for k in (2, -1):
-            yield MatrixOrdering(((0, 0), (p0, p1), (k * p0, k * p1), q), sg)
-
-
 def test_reduce_emits_terms_in_decreasing_order():
     """_reduce's result lists its terms in decreasing order, so its first
     term is its leading_monomial: on random f, by monic and by non-monic
-    divisors, under the kernel orderings and padded copies of them, whose
-    remainders also match the reference division."""
+    divisors, under the kernel orderings, where its remainders by monic
+    divisors also match the reference division."""
     rng = random.Random(107)
     checked = 0
     for c in KERNEL_CONES:
         sg = AffineSemigroup.from_support_cone(c)
-        for ord in (*kernel_orderings(sg), *padded_orderings(sg)):
+        for ord in kernel_orderings(sg):
             monic = monic_products(sg, ord, 2)
             non_monic = [
                 (g + (rng.choice((2, 3, -2)) - 1) * Poly.monomial(sg, m), m) for g, m in monic
             ]
             for pairs in (monic, non_monic):
                 table = groebner.divisor_table(pairs, ord)
-                for _ in range(6):
+                for _ in range(18):
                     f = random_kernel_poly(sg, rng)
                     f = f * math.lcm(*[v.denominator for v in f.terms.values()])
                     r = groebner._reduce(f, table, ord)
@@ -377,7 +369,7 @@ def test_interreduce_needs_no_promise_from_its_caller(a3):
             j, s = rng.choice(below)
             c = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
             pairs = list(elems)
-            pairs[i] = (g + elems[j][0].shift(s) * c, m)
+            pairs[i] = (g + shift(elems[j][0], s) * c, m)
             assert groebner.interreduce(pairs, ord) == basis, (m, elems[j][1], s)
             with pytest.raises(ValueError, match="a mark divides a term"):
                 MarkedBasis.from_json(ord, MarkedBasis(tuple(pairs), ord).to_json())
@@ -435,7 +427,7 @@ def test_normal_form_examples(a3, jn_basis):
     one = Poly.monomial(sg, (0, 0))
     assert normal_form(one, basis) == one
     g0, _ = basis.elements[0]
-    assert normal_form(g0.shift((4, 4)), basis).is_zero
+    assert normal_form(shift(g0, (4, 4)), basis).is_zero
 
 
 def test_normal_form_support_avoids_marks(a3, jn_basis):
@@ -702,7 +694,7 @@ def test_certificate_rejects_wrong_bases(a3, jn_basis):
         (g0, _), (g1, m1) = by_key[0], by_key[-1]
         doubled = elems[:k] + ((2 * g, m),) + elems[k + 1:]
         summed = tuple((g1 + g0 if m2 == m1 else g2, m2) for g2, m2 in elems)
-        extra = elems + ((g1.shift((1, 1)), vadd(m1, (1, 1))),)
+        extra = elems + ((shift(g1, (1, 1)), vadd(m1, (1, 1))),)
         for bad in (doubled, summed, extra):
             assert not certified(MarkedBasis(bad, basis.ordering), n), n
 
