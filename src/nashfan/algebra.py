@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Vec, contains, cross, vadd, vdot
-from .semigroup import AffineSemigroup, is_member
+from .lattice import AffineSemigroup, Vec, contains, cross, vadd, vdot
 
 
 class ContextMismatch(ValueError):
@@ -42,7 +41,7 @@ class Poly:
             c = _demote(Fraction(c))
             if c == 0:
                 continue
-            if not is_member(sg, e):
+            if not contains(sg.dual_cone, e):
                 raise ValueError(f"exponent {e} is not a semigroup member")
             clean[e] = c
         self.sg = sg
@@ -67,9 +66,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> set:
-        return set(self.terms)
 
     def _check(self, other):
         if self.sg != other.sg:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .algebra import MatrixOrdering, initial_form
 from .groebner import Ideal, MarkedBasis, buchberger, interreduce, normal_form, standard_monomials
 from .lattice import (
+    AffineSemigroup,
     Cone2,
     cone_from_inequalities,
     multiplicity,
@@ -14,7 +15,6 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .semigroup import AffineSemigroup
 
 
 class SweepStalled(RuntimeError):
@@ -38,7 +38,7 @@ def cone_of_basis(basis: MarkedBasis) -> GroebnerCone:
     normals = [
         vsub(mark, e)
         for g, mark in basis.elements
-        for e in g.support()
+        for e in g.terms
         if e != mark
     ]
     return GroebnerCone(cone_from_inequalities(normals, basis.sg.support_cone), basis)

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import cone_coords, points_below, vsub
-from .semigroup import AffineSemigroup, min_common_multiples
+from .lattice import AffineSemigroup, cone_coords, min_common_multiples, points_below, vsub
 
 
 class QuotientNotFinite(ValueError):
@@ -56,10 +55,6 @@ class Ideal:
             object.__setattr__(self, "marks", marks)
             if len(marks) != len(gens):
                 raise ValueError(f"{len(marks)} marks for {len(gens)} generators")
-
-    @property
-    def sg(self) -> AffineSemigroup:
-        return self.generators[0].sg
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Exact 2-D lattice geometry: rational cones, duals, Hilbert bases.
+"""Exact 2-D lattice geometry: rational cones, duals, Hilbert bases, and
+the affine semigroup σ^∨ ∩ Z^2 whose lattice points are the monomials.
 
 All vectors are plain ``(int, int)`` tuples; all arithmetic is exact.
 """
@@ -185,3 +186,27 @@ def cone_from_inequalities(normals: Iterable[Vec], support: Cone2) -> Cone2:
             raise NotFullDimensional(f"feasible region inside {support} is not 2-dimensional")
     return dual_cone(Cone2(lo, hi))
 
+
+@dataclass(frozen=True)
+class AffineSemigroup:
+    """σ^∨ intersected with Z^2, with a fixed generator list."""
+
+    dual_cone: Cone2          # σ^∨, the cone of exponents
+    generators: tuple         # Hilbert basis of dual_cone ∩ Z^2
+    support_cone: Cone2       # σ, the cone of weight vectors
+
+    @classmethod
+    def from_support_cone(cls, support: Cone2) -> "AffineSemigroup":
+        dual = dual_cone(support)
+        return cls(dual, tuple(sorted(hilbert_basis(dual))), support)
+
+
+def min_common_multiples(sg: AffineSemigroup, a: Vec, b: Vec) -> set:
+    """Divisibility-minimal elements of (a + σ^∨) ∩ (b + σ^∨) ∩ Z^2.
+
+    A common multiple is a point whose cone coordinates α, β (see
+    ``cone_coords``) are at least those of both a and b.
+    """
+    c = sg.dual_cone
+    (a1, a2), (b1, b2) = cone_coords(c, a), cone_coords(c, b)
+    return minimal_points(c, max(a1, b1), max(a2, b2))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from .algebra import ContextMismatch, MatrixOrdering, Poly
 from .fan import cone_of_basis, groebner_fan, sweep_start
 from .groebner import Ideal, buchberger, normal_form, standard_monomials
-from .lattice import Cone2, Vec, multiplicity, vadd, vscale, vsub
-from .semigroup import AffineSemigroup
+from .lattice import AffineSemigroup, Cone2, Vec, multiplicity, vadd, vscale, vsub
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def verify_paper(n_max: int) -> dict:
                 mark, needed = fam.p, prev_fam.s
             g = next((g for g, m in basis.elements if m == mark), None)
             claim("e", "the second-ray witness monomial appears in the expected element",
-                  g is not None and needed in g.support(),
+                  g is not None and needed in g.terms,
                   lambda: f"element marked {mark} misses {needed}")
 
             claim("f", "(uv-1) times every previous basis element lies in J_n", all(

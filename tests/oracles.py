@@ -1,12 +1,13 @@
 """Reference computations that the tests compare the engine against.
 
-Nothing under ``src/nashfan`` calls these: bounded enumeration of semigroup
-members, multiplication by a monomial, S-polynomials at every minimal
-common multiple, the strand shift θ and the pairing ψ with the second ray
-of the cone of GB(J_n), the ℚ[λ] gcd that checks φ(J_n) = ((λ - 1)^(n+1)),
-a certificate that a basis is the reduced basis of J_n which never calls
-``buchberger``, the check that a list of cones tiles a support cone in
-angular order, and an inter-reduction that divides every kept element.
+Nothing under ``src/nashfan`` calls these: divisibility of monomials
+(``divides``), bounded enumeration of semigroup members, multiplication by
+a monomial, S-polynomials at every minimal common multiple, the strand
+shift θ and the pairing ψ with the second ray of the cone of GB(J_n), the
+ℚ[λ] gcd that checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis
+is the reduced basis of J_n which never calls ``buchberger``, the check
+that a list of cones tiles a support cone in angular order, and an
+inter-reduction that divides every kept element.
 """
 
 import math
@@ -14,13 +15,25 @@ from fractions import Fraction
 
 from nashfan.algebra import MatrixOrdering, Poly
 from nashfan.groebner import MarkedBasis, _divisor, _reduce
-from nashfan.lattice import cone_coords, contains, vadd, vdot, vsub
+from nashfan.lattice import (
+    AffineSemigroup,
+    cone_coords,
+    contains,
+    min_common_multiples,
+    vadd,
+    vdot,
+    vsub,
+)
 from nashfan.nash import a3_semigroup, jn_generators, l_vector, phi_specialize
-from nashfan.semigroup import AffineSemigroup, min_common_multiples
 
 
 class InvalidWeight(ValueError):
     """Weight vector does not bound the enumeration region."""
+
+
+def divides(sg: AffineSemigroup, b, a) -> bool:
+    """True iff x^b divides x^a in the semigroup ring."""
+    return contains(sg.dual_cone, vsub(a, b))
 
 
 def in_dual(sg, p) -> bool:

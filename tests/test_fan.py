@@ -9,9 +9,8 @@ import nashfan.fan as fan_module
 from nashfan.algebra import MatrixOrdering, Poly, initial_form, leading_monomial
 from nashfan.fan import cone_of_basis, fan_to_json, groebner_fan, sweep_start
 from nashfan.groebner import Ideal, MarkedBasis, buchberger, normal_form, standard_monomials
-from nashfan.lattice import Cone2, multiplicity, vadd, vdot, vsub
+from nashfan.lattice import AffineSemigroup, Cone2, multiplicity, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
-from nashfan.semigroup import AffineSemigroup
 
 from oracles import certified, standard_set, validate_fan
 from test_nash import cyclic_cones
@@ -55,7 +54,7 @@ def test_two_zero_lies_strictly_inside_the_cone_of_gb_j1(a3, jn_basis):
     # strict inequalities against every mark difference of the basis
     w = vadd(gc1.cone.ray1, gc1.cone.ray2)
     for g, mark in jn_basis(1).elements:
-        for e in g.support():
+        for e in g.terms:
             if e != mark:
                 assert vdot(vsub(mark, e), w) > 0
 

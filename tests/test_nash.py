@@ -10,7 +10,17 @@ import nashfan.nash as nash_module
 from nashfan.algebra import ContextMismatch, MatrixOrdering, Poly, leading_monomial
 from nashfan.fan import sweep_start
 from nashfan.groebner import buchberger, normal_form, Ideal
-from nashfan.lattice import Cone2, contains, cross, multiplicity, primitive, vadd, vdot, vsub
+from nashfan.lattice import (
+    AffineSemigroup,
+    Cone2,
+    contains,
+    cross,
+    multiplicity,
+    primitive,
+    vadd,
+    vdot,
+    vsub,
+)
 from nashfan.nash import (
     a3_ordering,
     a3_semigroup,
@@ -24,9 +34,8 @@ from nashfan.nash import (
     pn_family,
     verify_paper,
 )
-from nashfan.semigroup import AffineSemigroup, divides
 
-from oracles import laurent_gcd, phi_ideal_is_power, psi, theta, validate_fan
+from oracles import divides, laurent_gcd, phi_ideal_is_power, psi, theta, validate_fan
 
 N_RANGE = range(1, 13)
 
@@ -66,6 +75,8 @@ def test_pn_family_n1():
     assert fam.r == ((2, 2),)
     assert fam.s == (3, 4)
     assert fam.points() == {(2, 0), (2, 1), (2, 2), (3, 4)}
+    with pytest.raises(ValueError):
+        pn_family(0)
 
 
 def test_pn_family_size_and_incomparability():
@@ -148,6 +159,8 @@ def test_dn_set_examples():
     assert dn_set(1) == {(0, 0), (1, 0), (1, 1)}
     for n in N_RANGE:
         assert len(dn_set(n)) == (n + 1) * (n + 2) // 2
+    with pytest.raises(ValueError):
+        dn_set(0)
 
 
 def test_dn_is_the_shadow_complement():
@@ -239,7 +252,6 @@ def test_phi_specialize_examples(a3):
 
 
 def test_phi_specialize_context_mismatch():
-    from nashfan.semigroup import AffineSemigroup
     quadrant = AffineSemigroup.from_support_cone(Cone2((1, 0), (0, 1)))
     with pytest.raises(ContextMismatch):
         phi_specialize(Poly.monomial(quadrant, (1, 0)))
