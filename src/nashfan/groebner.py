@@ -170,6 +170,13 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     insertion order, remainders of cone((0,1),(101,−1)) at n = 2 grew from
     31 to 1,827 bits.  The heap is keyed on the ordering's two rows,
     negated.
+
+    A mark divides no monomial below it, and the first row has the
+    smallest mark.  So once a popped term at or below that mark is kept or
+    skipped as cancelled, no row divides a pending term: the loop stops
+    and appends them in decreasing order with one sort of the heap (Monagan
+    and Pearce, J. Symb. Comput. 2011).  The reducing path tests nothing
+    more.
     """
     dual = ord.sg.dual_cone
     (p0, p1), (q0, q1) = ord.rows
@@ -178,10 +185,19 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     out = {}
     heap = [(p0 * e0 + p1 * e1, q0 * e0 + q1 * e1, (e0, e1)) for e0, e1 in terms]
     heapq.heapify(heap)
+    # the heap key of the smallest mark; every key is >= (), so with no
+    # row the first popped term ends the loop
+    floor = ()
+    if table:
+        m0, m1 = table[0][4]
+        floor = (p0 * m0 + p1 * m1, q0 * m0 + q1 * m1)
     while heap:
-        e = heapq.heappop(heap)[2]
+        top = heapq.heappop(heap)
+        e = top[2]
         c = terms.pop(e)
         if not c:
+            if top >= floor:
+                break
             continue
         a, b = cone_coords(dual, e)
         for row in table:
@@ -189,6 +205,8 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
                 break
         else:
             out[e] = c
+            if top >= floor:
+                break
             continue
         _, _, lc, tail, (m0, m1) = row
         if lc != 1:
@@ -208,6 +226,9 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
                 heapq.heappush(heap, (p0 * e3[0] + p1 * e3[1], q0 * e3[0] + q1 * e3[1], e3))
             else:
                 terms[e3] = old - c * c2
+    # no row divides a pending term; Poly._make drops the cancelled ones
+    for _, _, e in sorted(heap):
+        out[e] = terms[e]
     return Poly._make(ord.sg, out)
 
 
@@ -258,11 +279,15 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     ideal's ``marks``, when given, stand in for the generators' leading
     monomials in that order and nowhere else.  Given the ideal's
     ``colength``, the run stops once the working marks leave exactly that
-    many standard monomials, built by ``lattice.points_below`` after each
-    addition (Traverso, J. Symb. Comput. 1996): the marks' standard set
-    contains the ideal's, so equal sizes make the working basis a Groebner
-    basis.  A colength too large could stop early; one too small never
-    stops.
+    many standard monomials, counted after each addition (Traverso,
+    J. Symb. Comput. 1996): the marks' standard set contains the ideal's,
+    so equal sizes make the working basis a Groebner basis.  A colength
+    too large could stop early; one too small never stops.  The set is
+    infinite exactly while no mark lies on one of the rays of the exponent
+    cone (α = 0 or β = 0 of ``lattice.cone_coords``), and the run counts
+    nothing then.  At the first finite set it keeps the cone coordinates
+    of the points of ``lattice.points_below``, and each later addition
+    drops those that its mark divides.
     ``MAX_REDUCTIONS`` caps the S-pairs reduced.
 
     No pair is pushed until every generator is inserted, so a run that the
@@ -288,8 +313,13 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     table = []
     heap = []
     reductions = 0
+    # whether a working mark lies on the ray α = 0, on the ray β = 0; once
+    # both do, the cone coordinates of the marks' standard monomials
+    on_ray = [False, False]
+    std = None
 
     def insert(f) -> bool:
+        nonlocal std
         r = _reduce(f, table, ord)
         if r.is_zero:
             return False
@@ -297,11 +327,19 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         mr = next(iter(g.terms))
         basis.append((g, mr))
         i = bisect.bisect(table, ord.key(mr), key=lambda row: ord.key(row[4]))
-        table.insert(i, _divisor(g, mr, ord))
+        row = _divisor(g, mr, ord)
+        table.insert(i, row)
         if ideal.colength is None:
             return False
-        std = points_below(dual, [m for _, m in basis])
-        return std is not None and len(std) == ideal.colength
+        if std is None:
+            on_ray[0] |= row[0] == 0
+            on_ray[1] |= row[1] == 0
+            if not all(on_ray):
+                return False
+            std = [cone_coords(dual, p) for p in points_below(dual, [m for _, m in basis])]
+        else:
+            std = [(a, b) for a, b in std if a < row[0] or b < row[1]]
+        return len(std) == ideal.colength
 
     # reduce-on-insert keeps the working basis small from the start; the
     # normalization does not read the marks, only the order does

@@ -23,7 +23,7 @@ from nashfan.groebner import (
     normal_form,
     standard_monomials,
 )
-from nashfan.lattice import AffineSemigroup, Cone2, contains, vadd, vdot, vsub
+from nashfan.lattice import AffineSemigroup, Cone2, contains, points_below, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
 
 from oracles import (
@@ -262,6 +262,37 @@ def test_reduce_emits_terms_in_decreasing_order():
                     assert list(r.terms) == sorted(r.terms, key=ord.key, reverse=True), (c, ord)
                     checked += 1
     assert checked > 500
+
+
+def test_reduce_appends_the_terms_below_the_smallest_mark():
+    """Once _reduce keeps a term at or below its smallest mark, it appends
+    the pending terms without popping them, sorted: by an empty table f
+    comes back in decreasing order, and by one row whose mark lies above
+    most terms of f the remainder matches the reference division and is
+    in decreasing order, with at least three terms appended in most
+    cases."""
+    rng = random.Random(131)
+    reduced = appended = 0
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup.from_support_cone(c)
+        for ord in kernel_orderings(sg):
+            pairs = monic_products(sg, ord, 2)
+            for _ in range(12):
+                f = sum((random_kernel_poly(sg, rng) for _ in range(4)), Poly.zero(sg))
+                if len(f.terms) < 6:
+                    continue
+                r = groebner._reduce(f, [], ord)
+                assert r == f and list(r.terms) == sorted(f.terms, key=ord.key, reverse=True)
+                for g, m in pairs:
+                    below = [e for e in f.terms if ord.key(e) < ord.key(m)]
+                    if 2 * len(below) <= len(f.terms):
+                        continue
+                    r = groebner._reduce(f, groebner.divisor_table([(g, m)], ord), ord)
+                    assert r == reference_reduce(f, [(g, m)], ord), (c, ord, m)
+                    assert list(r.terms) == sorted(r.terms, key=ord.key, reverse=True), (c, ord, m)
+                    reduced += r != f
+                    appended += sum(e in r.terms for e in below) >= 3
+    assert reduced > 1000 and appended > 1000
 
 
 def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
@@ -728,6 +759,58 @@ def test_colength_stop_fires_before_any_s_pair(a3, jn_basis, monkeypatch):
     assert list(itertools.islice(nash_module.jn_bases(sg, ordering), 12)) == expected
     assert colengths == [(n + 1) * (n + 2) // 2 for n in range(1, 13)]
     assert mcm_calls == []
+
+
+def test_colength_stop_fires_at_the_first_exact_count(a3, monkeypatch):
+    """In every buchberger run with a colength, of the A3 tower to n = 12
+    and of the sweeps of the cyclic cones with d <= 9 and n <= 3, the last
+    insert is the first after which points_below of the working marks has
+    exactly colength points.  The marks are rebuilt from the recorded
+    _reduce results, as in test_buchberger_table_matches_a_fresh_table.
+    Some runs stop after an S-pair, past their generators."""
+    reduce, interreduce = groebner._reduce, groebner.interreduce
+    runs, calls = [], None
+
+    def recording(f, table, ord):
+        r = reduce(f, table, ord)
+        if calls is not None:
+            calls.append(r)
+        return r
+
+    def ending(pairs, ord):
+        nonlocal calls
+        calls = None
+        return interreduce(pairs, ord)
+
+    def recording_run(ideal, ord):
+        nonlocal calls
+        calls = []
+        runs.append((ideal, ord, calls))
+        return buchberger(ideal, ord)
+
+    monkeypatch.setattr(groebner, "_reduce", recording)
+    monkeypatch.setattr(groebner, "interreduce", ending)
+    monkeypatch.setattr(nash_module, "buchberger", recording_run)
+    monkeypatch.setattr(fan_module, "buchberger", recording_run)
+    sg, ordering = a3
+    list(itertools.islice(nash_module.jn_bases(sg, ordering), 12))
+    for c in cyclic_cones(9):
+        csg = AffineSemigroup.from_support_cone(c)
+        for n in (1, 2, 3):
+            groebner_fan(jn_basis_at(csg, sweep_start(csg), n))
+    past_inserts = 0
+    for ideal, ord, rs in runs:
+        colength = ideal.colength
+        assert colength is not None and not rs[-1].is_zero
+        marks, counts = [], []
+        for r in rs:
+            if not r.is_zero:
+                marks.append(leading_monomial(ord, r))
+                std = points_below(ord.sg.dual_cone, marks)
+                counts.append(None if std is None else len(std))
+        assert counts.index(colength) == len(counts) - 1, (ord, colength, counts)
+        past_inserts += len(rs) > len(ideal.generators)
+    assert len(runs) == 382 and past_inserts > 0
 
 
 def test_marks_are_only_hints(a3, jn_basis, monkeypatch):
