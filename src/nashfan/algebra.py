@@ -30,7 +30,8 @@ class Poly:
 
     Each coefficient is an int where it is integral and a Fraction
     otherwise; int == Fraction with equal hashes, so equality, hashing and
-    JSON do not depend on which type holds a value.
+    JSON do not depend on which type holds a value.  A float coefficient
+    raises TypeError rather than be stored as its binary expansion.
     """
 
     __slots__ = ("sg", "terms")
@@ -38,6 +39,8 @@ class Poly:
     def __init__(self, sg: AffineSemigroup, terms=None):
         clean = {}
         for e, c in (terms or {}).items():
+            if isinstance(c, float):
+                raise TypeError(f"coefficient {c!r} at {e} is a float; give an int or a Fraction")
             c = _demote(Fraction(c))
             if c == 0:
                 continue

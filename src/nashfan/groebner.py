@@ -157,42 +157,55 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     Tie-breaks: reduce the largest reducible monomial of the remainder,
     using the divisor with the smallest mark.  Every monomial introduced
     by a reduction step sits strictly below the reduced one, so a single
-    descending heap pass visits each monomial once, and the result's terms
+    descending pass visits each monomial once, and the result's terms
     come out in decreasing order: its first term is its leading monomial.
-    A step cancels the reduced term and adds the divisor's tail, shifted by
-    e - mark; a tail term that cancels keeps a zero entry until it is
-    popped, so each monomial is pushed once.
+    The pass merges two streams: f's terms, sorted once, and a heap of
+    the monomials that steps add and f lacks (Monagan and Pearce,
+    J. Symb. Comput. 2011), so only those are pushed.  Both are keyed on
+    the ordering's two rows, negated.  A step cancels the reduced term and
+    adds the divisor's tail, shifted by e - mark; a tail term that cancels
+    keeps a zero entry until it is taken, so each monomial is pushed at
+    most once.
 
     Divisibility is tested on the cone coordinates of ``lattice.cone_coords``,
-    computed once per popped term against those of each row.  The rows are
+    computed once per term taken against those of each row.  The rows are
     scanned in increasing mark order, so the first one that divides is the
     smallest.  Tables stay sorted because this keeps coefficients small: in
     insertion order, remainders of cone((0,1),(101,−1)) at n = 2 grew from
-    31 to 1,827 bits.  The heap is keyed on the ordering's two rows,
-    negated.
+    31 to 1,827 bits.
 
     A mark divides no monomial below it, and the first row has the
-    smallest mark.  So once a popped term at or below that mark is kept or
+    smallest mark.  So once a term taken at or below that mark is kept or
     skipped as cancelled, no row divides a pending term: the loop stops
-    and appends them in decreasing order with one sort of the heap (Monagan
-    and Pearce, J. Symb. Comput. 2011).  The reducing path tests nothing
-    more.
+    and appends them in decreasing order.  The rest of f's sorted list is
+    one run, so one sort merges the few heap leftovers into it.  The
+    reducing path tests nothing more.
     """
     dual = ord.sg.dual_cone
     (p0, p1), (q0, q1) = ord.rows
     p0, p1, q0, q1 = -p0, -p1, -q0, -q1
     terms = dict(f.terms)
     out = {}
-    heap = [(p0 * e0 + p1 * e1, q0 * e0 + q1 * e1, (e0, e1)) for e0, e1 in terms]
-    heapq.heapify(heap)
+    # f's terms in decreasing order, walked from i on; the heap holds only
+    # the terms that steps add, and no monomial is in both
+    stream = sorted([(p0 * e0 + p1 * e1, q0 * e0 + q1 * e1, (e0, e1)) for e0, e1 in terms])
+    n = len(stream)
+    i = 0
+    heap = []
     # the heap key of the smallest mark; every key is >= (), so with no
-    # row the first popped term ends the loop
+    # row the first term taken ends the loop
     floor = ()
     if table:
         m0, m1 = table[0][4]
         floor = (p0 * m0 + p1 * m1, q0 * m0 + q1 * m1)
-    while heap:
-        top = heapq.heappop(heap)
+    while True:
+        if heap and (i == n or heap[0] < stream[i]):
+            top = heapq.heappop(heap)
+        elif i < n:
+            top = stream[i]
+            i += 1
+        else:
+            break
         e = top[2]
         c = terms.pop(e)
         if not c:
@@ -226,8 +239,13 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
                 heapq.heappush(heap, (p0 * e3[0] + p1 * e3[1], q0 * e3[0] + q1 * e3[1], e3))
             else:
                 terms[e3] = old - c * c2
-    # no row divides a pending term; Poly._make drops the cancelled ones
-    for _, _, e in sorted(heap):
+    # no row divides a pending term; the rest of the stream is one sorted
+    # run, so the sort merges the few heap leftovers into it, and
+    # Poly._make drops the cancelled ones
+    rest = stream[i:]
+    rest += heap
+    rest.sort()
+    for _, _, e in rest:
         out[e] = terms[e]
     return Poly._make(ord.sg, out)
 
@@ -256,16 +274,25 @@ def normal_form(f: Poly, basis: MarkedBasis) -> Poly:
 
 
 def _primitive(f: Poly) -> Poly:
-    """The multiple of f with coprime integer coefficients and a positive first term."""
-    den = math.lcm(*[c.denominator for c in f.terms.values()])
+    """The multiple of f with coprime integer coefficients and a positive
+    first term; f itself when it is one already.
+
+    The content of integer coefficients is one ``math.gcd`` call.  Only
+    when that raises ``TypeError``, as on a Fraction (a Poly stores every
+    integral value as an int), are the coefficients first scaled by the
+    lcm of their denominators.
+    """
     terms = f.terms
-    if den != 1:
+    try:
+        k = math.gcd(*terms.values())
+    except TypeError:
+        den = math.lcm(*[c.denominator for c in terms.values()])
         terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    k = math.gcd(*terms.values())
+        k = math.gcd(*terms.values())
     if next(iter(terms.values())) < 0:
         k = -k
     if k == 1:
-        return f if den == 1 else Poly._make(f.sg, terms)
+        return f if terms is f.terms else Poly._make(f.sg, terms)
     return Poly._make(f.sg, {e: c // k for e, c in terms.items()})
 
 
@@ -303,7 +330,8 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     positive lc, never divided by its lc.  The S-polynomial of (i, j, m) is
     (lj/k) x^(m - mi) gi - (li/k) x^(m - mj) gj with k = gcd(li, lj), and
     ``_reduce`` pseudo-divides, so both are nonzero multiples of their monic
-    counterparts.  Its ``divisor_table`` grows by bisect insertion.  Only
+    counterparts.  Its ``divisor_table`` grows by bisect insertion, found
+    in a parallel list of the rows' mark keys.  Only
     the final pass (``interreduce``) divides each kept element by its lc,
     which may leave Fractions.
     """
@@ -311,6 +339,9 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     dual = sg.dual_cone
     basis = []
     table = []
+    # ord.key of each row's mark, in table order: bisect compares these
+    # plain tuples rather than calling ord.key at every probe
+    keys = []
     heap = []
     reductions = 0
     # whether a working mark lies on the ray α = 0, on the ray β = 0; once
@@ -326,7 +357,9 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         g = _primitive(r)
         mr = next(iter(g.terms))
         basis.append((g, mr))
-        i = bisect.bisect(table, ord.key(mr), key=lambda row: ord.key(row[4]))
+        key = ord.key(mr)
+        i = bisect.bisect(keys, key)
+        keys.insert(i, key)
         row = _divisor(g, mr, ord)
         table.insert(i, row)
         if ideal.colength is None:

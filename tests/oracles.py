@@ -6,8 +6,9 @@ a monomial, S-polynomials at every minimal common multiple, the strand
 shift θ and the pairing ψ with the second ray of the cone of GB(J_n), the
 ℚ[λ] gcd that checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis
 is the reduced basis of J_n which never calls ``buchberger``, the check
-that a list of cones tiles a support cone in angular order, and an
-inter-reduction that divides every kept element.
+that a list of cones tiles a support cone in angular order, an
+inter-reduction that divides every kept element, and the primitive part
+of a polynomial over Fractions.
 """
 
 import math
@@ -247,3 +248,17 @@ def full_interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
             kept.append((g, m))
             table.append(_divisor(g, m, ord))
     return MarkedBasis(tuple(kept), ord)
+
+
+def primitive(f):
+    """f divided by its content over Fractions: the gcd of the numerators
+    over the lcm of the denominators, negated when the first term is
+    negative, so the first term comes out positive."""
+    coeffs = [Fraction(c) for c in f.terms.values()]
+    content = Fraction(
+        math.gcd(*[c.numerator for c in coeffs]),
+        math.lcm(*[c.denominator for c in coeffs]),
+    )
+    if coeffs[0] < 0:
+        content = -content
+    return Poly(f.sg, {e: Fraction(c) / content for e, c in f.terms.items()})

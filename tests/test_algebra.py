@@ -56,7 +56,7 @@ def test_poly_drops_zero_coefficients(a3):
 
 def test_integral_coefficients_are_stored_as_int(a3):
     sg, _ = a3
-    p = Poly(sg, {(1, 1): Fraction(4, 2), (1, 0): True, (0, 0): 0.5})
+    p = Poly(sg, {(1, 1): Fraction(4, 2), (1, 0): True, (0, 0): Fraction(1, 2)})
     assert p.terms == {(1, 1): 2, (1, 0): 1, (0, 0): Fraction(1, 2)}
     assert [type(p.terms[e]) for e in ((1, 1), (1, 0), (0, 0))] == [int, int, Fraction]
     half = Poly.monomial(sg, (1, 0), Fraction(1, 2))
@@ -67,6 +67,17 @@ def test_integral_coefficients_are_stored_as_int(a3):
         {"exp": [1, 0], "num": 1, "den": 1},
         {"exp": [1, 1], "num": 2, "den": 1},
     ]
+
+
+def test_poly_refuses_float_coefficients(a3):
+    """A float is refused with a TypeError naming it, through the
+    constructor and through Poly.monomial: Fraction(0.1) would store
+    3602879701896397/36028797018963968, not 1/10."""
+    sg, _ = a3
+    with pytest.raises(TypeError, match=r"0\.1"):
+        Poly.monomial(sg, (1, 0), 0.1)
+    with pytest.raises(TypeError, match=r"2\.0"):
+        Poly(sg, {(1, 1): 3, (1, 0): 2.0})
 
 
 def test_product_example(a3):

@@ -33,6 +33,7 @@ from oracles import (
     full_interreduce,
     in_dual,
     in_jn,
+    primitive,
     s_polynomials,
     shift,
     standard_set,
@@ -299,7 +300,9 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
     """The divisor table buchberger keeps by bisect insertion equals, at
     every _reduce call before the final pass, divisor_table of the working
     elements so far: the primitive remainders of the earlier calls, marked
-    at their leading monomials.  With no colength, the S-pairs run too."""
+    at their leading monomials.  Every stored row has lc > 0: a row with
+    lc = -1 would rescale the whole remainder at each step through it.
+    With no colength, the S-pairs run too."""
     calls, final = [], []
     reduce, interreduce = groebner._reduce, groebner.interreduce
 
@@ -324,10 +327,41 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
         working = []
         for table, r in calls:
             assert table == groebner.divisor_table(working, ord)
+            assert all(lc > 0 for _, _, lc, _, _ in table)
             if not r.is_zero:
                 g = groebner._primitive(r)
                 working.append((g, leading_monomial(ord, g)))
         assert len(calls) > len(ideal.generators) and len(working) > 4
+
+
+def test_primitive_matches_the_fraction_reference(a3):
+    """_primitive equals oracles.primitive, term for term in f's order and
+    with int coefficients, on int, Fraction and mixed coefficients, with
+    content above 1 and a negative first term; an already primitive int
+    polynomial comes back as the same object."""
+    sg, _ = a3
+    rng = random.Random(149)
+    types_seen, negative, content = set(), 0, 0
+    for _ in range(300):
+        f = random_kernel_poly(sg, rng)
+        if f.is_zero:
+            continue
+        f = f * rng.choice((1, 1, 6, -4, Fraction(3, 2), Fraction(-5, 7)))
+        g = groebner._primitive(f)
+        assert typed_terms(g) == typed_terms(primitive(f)) and list(g.terms) == list(f.terms)
+        assert all(type(c) is int for c in g.terms.values())
+        if g == f:
+            assert g is f
+        coeffs = list(f.terms.values())
+        types = frozenset(map(type, coeffs))
+        types_seen.add(types)
+        negative += coeffs[0] < 0
+        content += types == {int} and math.gcd(*coeffs) > 1
+    assert {frozenset({int}), frozenset({Fraction}), frozenset({int, Fraction})} <= types_seen
+    assert negative and content
+    f = Poly(sg, {(3, 4): 2, (1, 0): -3, (0, 0): 1})
+    assert groebner._primitive(f) is f
+    assert groebner._primitive(-f) == f
 
 
 def test_final_pass_divides_exactly_the_elements_it_changes(a3, monkeypatch):
