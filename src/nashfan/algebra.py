@@ -30,8 +30,9 @@ class Poly:
 
     Each coefficient is an int where it is integral and a Fraction
     otherwise; int == Fraction with equal hashes, so equality, hashing and
-    JSON do not depend on which type holds a value.  A float coefficient
-    raises TypeError rather than be stored as its binary expansion.
+    JSON do not depend on which type holds a value.  A float coefficient,
+    or a float operand of +, - or *, raises TypeError rather than be stored
+    as its binary expansion.
     """
 
     __slots__ = ("sg", "terms")
@@ -71,6 +72,8 @@ class Poly:
         return not self.terms
 
     def _check(self, other):
+        if not isinstance(other, Poly):
+            raise TypeError(f"operand {other!r} is a {type(other).__name__}; give an int, a Fraction or a Poly")
         if self.sg != other.sg:
             raise ContextMismatch("polynomials over different semigroups")
 
@@ -97,6 +100,9 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
+        # check before negating, so that an error names the operand given
+        if not isinstance(other, (int, Fraction)):
+            self._check(other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
 from .lattice import AffineSemigroup, cone_coords, min_common_multiples, points_below, vsub
@@ -159,16 +159,23 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     by a reduction step sits strictly below the reduced one, so a single
     descending pass visits each monomial once, and the result's terms
     come out in decreasing order: its first term is its leading monomial.
-    The pass merges two streams: f's terms, sorted once, and a heap of
-    the monomials that steps add and f lacks (Monagan and Pearce,
-    J. Symb. Comput. 2011), so only those are pushed.  Both are keyed on
-    the ordering's two rows, negated.  A step cancels the reduced term and
-    adds the divisor's tail, shifted by e - mark; a tail term that cancels
-    keeps a zero entry until it is taken, so each monomial is pushed at
-    most once.
+
+    Each pending monomial is one record [key0, key1, monomial,
+    coefficient], keyed on the ordering's two rows, negated.  A dict from
+    monomial to record finds it, and the same record sits in one of two
+    streams that the pass merges: f's records, sorted once, and a heap of
+    the records that steps add (Monagan and Pearce, J. Symb. Comput.
+    2011).  f's own dict is read once and never copied.  A step cancels
+    the reduced term and adds the divisor's tail, shifted by e - mark: one
+    dict lookup per tail term, whose coefficient it changes in place, or
+    one new record, stored and pushed.  A taken term reads its coefficient
+    from its record and needs no lookup; its record stays in the dict,
+    since every tail term lies strictly below it.  A record that cancels
+    stays in its stream until it is taken and skipped.
 
     Divisibility is tested on the cone coordinates of ``lattice.cone_coords``,
-    computed once per term taken against those of each row.  The rows are
+    computed inline for each term taken, from the exponent cone's rays
+    read once per call, against those of each row.  The rows are
     scanned in increasing mark order, so the first one that divides is the
     smallest.  Tables stay sorted because this keeps coefficients small: in
     insertion order, remainders of cone((0,1),(101,−1)) at n = 2 grew from
@@ -182,43 +189,48 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     reducing path tests nothing more.
     """
     dual = ord.sg.dual_cone
+    (x1, y1), (x2, y2) = dual.ray1, dual.ray2
     (p0, p1), (q0, q1) = ord.rows
     p0, p1, q0, q1 = -p0, -p1, -q0, -q1
-    terms = dict(f.terms)
-    out = {}
-    # f's terms in decreasing order, walked from i on; the heap holds only
-    # the terms that steps add, and no monomial is in both
-    stream = sorted([(p0 * e0 + p1 * e1, q0 * e0 + q1 * e1, (e0, e1)) for e0, e1 in terms])
+    # lists compare like tuples, and the two keys differ for distinct
+    # monomials, so the sort, the heap and the floor test never compare
+    # a monomial or a coefficient
+    terms = {e: [p0 * e[0] + p1 * e[1], q0 * e[0] + q1 * e[1], e, c] for e, c in f.terms.items()}
+    # f's records in decreasing order, walked from i on; the heap holds only
+    # the records that steps add
+    stream = sorted(terms.values())
     n = len(stream)
     i = 0
     heap = []
-    # the heap key of the smallest mark; every key is >= (), so with no
-    # row the first term taken ends the loop
-    floor = ()
+    out = {}
+    # the key of the smallest mark; every record is >= [], so with no row
+    # the first term taken ends the loop
+    floor = []
     if table:
         m0, m1 = table[0][4]
-        floor = (p0 * m0 + p1 * m1, q0 * m0 + q1 * m1)
+        floor = [p0 * m0 + p1 * m1, q0 * m0 + q1 * m1]
     while True:
         if heap and (i == n or heap[0] < stream[i]):
-            top = heapq.heappop(heap)
+            rec = heappop(heap)
         elif i < n:
-            top = stream[i]
+            rec = stream[i]
             i += 1
         else:
             break
-        e = top[2]
-        c = terms.pop(e)
+        _, _, e, c = rec
         if not c:
-            if top >= floor:
+            if rec >= floor:
                 break
             continue
-        a, b = cone_coords(dual, e)
+        e0, e1 = e
+        a = e0 * y2 - e1 * x2
+        b = x1 * e1 - y1 * e0
         for row in table:
             if a >= row[0] and b >= row[1]:
                 break
         else:
             out[e] = c
-            if top >= floor:
+            if rec >= floor:
                 break
             continue
         _, _, lc, tail, (m0, m1) = row
@@ -226,27 +238,29 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
             k = math.gcd(lc, c)
             s = lc // k
             if s != 1:
-                for part in (terms, out):
-                    for e2 in part:
-                        part[e2] *= s
+                for r in terms.values():
+                    r[3] *= s
+                for e2 in out:
+                    out[e2] *= s
             c //= k
-        s0, s1 = e[0] - m0, e[1] - m1
+        s0, s1 = e0 - m0, e1 - m1
         for u0, u1, c2 in tail:
-            e3 = (u0 + s0, u1 + s1)
-            old = terms.get(e3)
-            if old is None:
-                terms[e3] = -c * c2
-                heapq.heappush(heap, (p0 * e3[0] + p1 * e3[1], q0 * e3[0] + q1 * e3[1], e3))
+            v0, v1 = u0 + s0, u1 + s1
+            e3 = (v0, v1)
+            r = terms.get(e3)
+            if r is None:
+                r = terms[e3] = [p0 * v0 + p1 * v1, q0 * v0 + q1 * v1, e3, -c * c2]
+                heappush(heap, r)
             else:
-                terms[e3] = old - c * c2
-    # no row divides a pending term; the rest of the stream is one sorted
+                r[3] -= c * c2
+    # no row divides a pending record; the rest of the stream is one sorted
     # run, so the sort merges the few heap leftovers into it, and
     # Poly._make drops the cancelled ones
     rest = stream[i:]
     rest += heap
     rest.sort()
-    for _, _, e in rest:
-        out[e] = terms[e]
+    for _, _, e, c in rest:
+        out[e] = c
     return Poly._make(ord.sg, out)
 
 
@@ -386,11 +400,11 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         for j in range(pushed, len(basis)):
             for i in range(j):
                 for m in min_common_multiples(sg, basis[i][1], basis[j][1]):
-                    heapq.heappush(heap, (ord.key(m), j, i, m))
+                    heappush(heap, (ord.key(m), j, i, m))
         pushed = len(basis)
         if not heap:
             break
-        _, j, i, m = heapq.heappop(heap)
+        _, j, i, m = heappop(heap)
         if reductions >= MAX_REDUCTIONS:
             raise PairQueueExhausted(f"more than {MAX_REDUCTIONS} S-pair reductions")
         reductions += 1

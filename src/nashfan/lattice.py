@@ -88,7 +88,8 @@ def cone_coords(c: Cone2, p: Vec) -> Vec:
     d·p = α·ray1 + β·ray2 with d = multiplicity(c), so p lies in c iff
     α, β >= 0, and in the semigroup of c's lattice points x^b divides x^a
     iff α(a) >= α(b) and β(a) >= β(b).  This is the one definition of α and
-    β that every divisibility test reads.
+    β that every divisibility test reads; the division kernel
+    ``groebner._reduce`` inlines these two cross products, per term taken.
     """
     (x1, y1), (x2, y2) = c.ray1, c.ray2
     return p[0] * y2 - p[1] * x2, x1 * p[1] - y1 * p[0]

@@ -71,13 +71,18 @@ def test_integral_coefficients_are_stored_as_int(a3):
 
 def test_poly_refuses_float_coefficients(a3):
     """A float is refused with a TypeError naming it, through the
-    constructor and through Poly.monomial: Fraction(0.1) would store
-    3602879701896397/36028797018963968, not 1/10."""
+    constructor, through Poly.monomial and as either operand of +, - and
+    *: Fraction(0.1) would store 3602879701896397/36028797018963968, not
+    1/10."""
     sg, _ = a3
     with pytest.raises(TypeError, match=r"0\.1"):
         Poly.monomial(sg, (1, 0), 0.1)
     with pytest.raises(TypeError, match=r"2\.0"):
         Poly(sg, {(1, 1): 3, (1, 0): 2.0})
+    p = Poly.monomial(sg, (1, 1), 3)
+    for op in (lambda: p * 0.5, lambda: 0.5 * p, lambda: p + 0.5, lambda: p - 0.5, lambda: 0.5 - p):
+        with pytest.raises(TypeError, match=r"(?<!-)0\.5 is a float"):
+            op()
 
 
 def test_product_example(a3):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -152,12 +153,12 @@ def random_kernel_poly(sg, rng):
 def test_kernel_divisibility_agrees_with_divides():
     """x^q reduces x^p to zero iff divides(q, p), for all p, q in a box.
 
-    ``_reduce`` and ``divides`` both read ``lattice.cone_coords``, so each
-    (p, q) is also checked against the definition of σ^∨, which uses
-    neither: p - q pairs nonnegatively with both rays of σ.  Divisibility
-    is invariant under translation, so the box is moved by a multiple of
-    an interior point of the exponent cone until, by that definition, it
-    lies in S.
+    ``divides`` reads ``lattice.cone_coords`` and ``_reduce`` inlines its
+    formula, so each (p, q) is also checked against the definition of σ^∨,
+    which uses neither: p - q pairs nonnegatively with both rays of σ.
+    Divisibility is invariant under translation, so the box is moved by a
+    multiple of an interior point of the exponent cone until, by that
+    definition, it lies in S.
     """
     box = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
     for c in KERNEL_CONES:
@@ -294,6 +295,74 @@ def test_reduce_appends_the_terms_below_the_smallest_mark():
                     reduced += r != f
                     appended += sum(e in r.terms for e in below) >= 3
     assert reduced > 1000 and appended > 1000
+
+
+class CountingTail(list):
+    """A divisor row's tail that counts the steps which read it."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_reduce_skips_a_cancelled_term_without_dividing_it():
+    """A term whose coefficient a step cancels is skipped when taken, at the
+    smallest mark and above it: over N^2, x^(3,0) + x^(0,k) by the rows
+    x^(3,0) + x^(0,k) and x^(0,1) + 1 takes one step, by the first, and
+    never reads the tail of the second, which divides x^(0,k).  Dividing
+    the cancelled term would only add zeros, so the remainder alone could
+    not tell."""
+    sg = AffineSemigroup.from_support_cone(Cone2((1, 0), (0, 1)))
+    ord = MatrixOrdering(((1, 1), (1, 0)), sg)
+    for k in (1, 2):
+        f = Poly(sg, {(3, 0): 1, (0, k): 1})
+        pairs = [(f, (3, 0)), (Poly(sg, {(0, 1): 1, (0, 0): 1}), (0, 1))]
+        table = [(*row[:3], CountingTail(row[3]), row[4]) for row in groebner.divisor_table(pairs, ord)]
+        assert groebner._reduce(f, table, ord) == reference_reduce(f, pairs, ord) == Poly.zero(sg)
+        assert {row[4]: row[3].reads for row in table} == {(3, 0): 1, (0, 1): 0}, k
+
+
+def test_reduce_and_normal_form_leave_their_inputs_unchanged(a3, jn_basis):
+    """The kernel's records are its own: f's terms (the same coefficient
+    objects, in the same order) and every divisor row, tail included, are
+    as before the call.  On queries shaped like the benchmark's
+    a3_normal_form ones, f = h_1 g_1 + h_2 g_2 + h_3 g_3 + r over GB(J_4),
+    by normal_form and by _reduce, and on integral f by the same rows with
+    their lc replaced by l != 1."""
+    sg, ord = a3
+    basis = jn_basis(4)
+    std = sorted(standard_monomials(basis))
+    rng = random.Random(151)
+
+    def monomial():
+        a, b, c = (rng.randrange(3) for _ in range(3))
+        return (a + 3 * b + c, 4 * b + c)
+
+    non_monic = [
+        (g + (rng.choice((2, 3, -2)) - 1) * Poly.monomial(sg, m), m) for g, m in basis.elements
+    ]
+    for q in range(24):
+        r = Poly.zero(sg)
+        if q % 2:
+            r = Poly(sg, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in rng.sample(std, 4)})
+        f = r
+        for g, _ in rng.sample(basis.elements, 3):
+            f = f + Poly(sg, {monomial(): rng.randint(-5, 5), monomial(): rng.randint(-5, 5)}) * g
+        for pairs in (basis.elements, non_monic):
+            if pairs is non_monic:
+                f = f * math.lcm(*[v.denominator for v in f.terms.values()])
+            terms = dict(f.terms)
+            table = groebner.divisor_table(pairs, ord)
+            rows = copy.deepcopy(table)
+            got = groebner._reduce(f, table, ord)
+            if pairs is basis.elements:
+                assert got == r == normal_form(f, basis), q
+                assert groebner._last_table[1] == groebner.divisor_table(basis.elements, ord), q
+            assert list(f.terms.items()) == list(terms.items()), q
+            assert all(f.terms[e] is c for e, c in terms.items()), q
+            assert table == rows, q
 
 
 def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
