@@ -8,18 +8,6 @@ from fractions import Fraction
 from .lattice import AffineSemigroup, Vec, contains, cross, vadd, vdot
 
 
-class ContextMismatch(ValueError):
-    """Operands live over different semigroups."""
-
-
-class ZeroPolynomial(ValueError):
-    """The zero polynomial has no leading monomial."""
-
-
-class WeightOutsideSigma(ValueError):
-    """Weight vector does not lie in the support cone."""
-
-
 def _demote(c):
     """An integral Fraction as its int numerator; any other value unchanged."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -75,7 +63,7 @@ class Poly:
         if not isinstance(other, Poly):
             raise TypeError(f"operand {other!r} is a {type(other).__name__}; give an int, a Fraction or a Poly")
         if self.sg != other.sg:
-            raise ContextMismatch("polynomials over different semigroups")
+            raise ValueError("polynomials over different semigroups")
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -200,16 +188,16 @@ class MatrixOrdering:
 
 def leading_monomial(ord: MatrixOrdering, f: Poly) -> Vec:
     if f.sg != ord.sg:
-        raise ContextMismatch("polynomial and ordering over different semigroups")
+        raise ValueError("polynomial and ordering over different semigroups")
     if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no leading monomial")
+        raise ValueError("zero polynomial has no leading monomial")
     return max(f.terms, key=ord.key)
 
 
 def initial_form(w: Vec, f: Poly) -> Poly:
     """Sum of the terms of f with maximal w-weight; in_w(0) = 0."""
     if not contains(f.sg.support_cone, w):
-        raise WeightOutsideSigma(f"{w} is outside the support cone")
+        raise ValueError(f"{w} is outside the support cone")
     if f.is_zero:
         return f
     m = max(vdot(w, e) for e in f.terms)

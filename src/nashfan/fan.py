@@ -17,10 +17,6 @@ from .lattice import (
 )
 
 
-class SweepStalled(RuntimeError):
-    """The angular sweep failed to advance; indicates an engine bug."""
-
-
 @dataclass(frozen=True)
 class GroebnerCone:
     cone: Cone2
@@ -103,13 +99,13 @@ def groebner_fan(first: MarkedBasis) -> list:
     while True:
         gc = cone_of_basis(basis)
         if gc.cone.ray1 != frontier:
-            raise SweepStalled(f"cone {gc.cone} does not start at frontier ray {frontier}")
+            raise RuntimeError(f"cone {gc.cone} does not start at frontier ray {frontier}")
         cones.append(gc)
         frontier = gc.cone.ray2
         if frontier == sg.support_cone.ray2:
             return cones
         if len(cones) >= 10 ** 4:
-            raise SweepStalled("more than 10000 cones; sweep is not terminating")
+            raise RuntimeError("more than 10000 cones; sweep is not terminating")
         ord = MatrixOrdering((frontier, rot_ccw(frontier)), sg)
         known = {initial_form(frontier, g): g for g, _ in basis.elements}
         flip = buchberger(Ideal(known, colength), ord)

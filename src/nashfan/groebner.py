@@ -13,15 +13,7 @@ from .algebra import MatrixOrdering, Poly, leading_monomial
 from .lattice import AffineSemigroup, cone_coords, min_common_multiples, points_below, vsub
 
 
-class QuotientNotFinite(ValueError):
-    """The marks leave infinitely many standard monomials."""
-
-
-class PairQueueExhausted(RuntimeError):
-    """Defensive cap on S-pair reductions hit; indicates an engine bug."""
-
-
-# the S-pairs one ``buchberger`` run may reduce before it raises PairQueueExhausted
+# the S-pairs one ``buchberger`` run may reduce before it raises RuntimeError
 MAX_REDUCTIONS = 10 ** 6
 
 
@@ -406,7 +398,7 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
             break
         _, j, i, m = heappop(heap)
         if reductions >= MAX_REDUCTIONS:
-            raise PairQueueExhausted(f"more than {MAX_REDUCTIONS} S-pair reductions")
+            raise RuntimeError(f"more than {MAX_REDUCTIONS} S-pair reductions")
         reductions += 1
         (gi, mi), (gj, mj) = basis[i], basis[j]
         li, lj = gi.terms[mi], gj.terms[mj]
@@ -461,5 +453,5 @@ def standard_monomials(basis: MarkedBasis) -> set:
     """Semigroup members that no mark divides, by ``lattice.points_below``."""
     std = points_below(basis.sg.dual_cone, basis.marks())
     if std is None:
-        raise QuotientNotFinite("no mark lies on one of the rays of the exponent cone")
+        raise ValueError("no mark lies on one of the rays of the exponent cone")
     return std

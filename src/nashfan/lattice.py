@@ -6,15 +6,11 @@ All vectors are plain ``(int, int)`` tuples; all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Tuple
 
 Vec = Tuple[int, int]
-
-
-class NotFullDimensional(ValueError):
-    """Feasible region of a cone construction has empty interior."""
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -174,7 +170,7 @@ def cone_from_inequalities(normals: Iterable[Vec], support: Cone2) -> Cone2:
     That is the dual of the cone spanned by the normals and the rays of
     dual_cone(support), widened in one pass: a normal clockwise of lo
     replaces lo, one counter-clockwise of hi replaces hi.  Raises
-    NotFullDimensional once the span reaches a half-plane.
+    ValueError once the span reaches a half-plane.
     """
     dual = dual_cone(support)
     lo, hi = dual.ray1, dual.ray2
@@ -184,22 +180,23 @@ def cone_from_inequalities(normals: Iterable[Vec], support: Cone2) -> Cone2:
         elif cross(hi, n) > 0:
             hi = n
         if cross(lo, hi) <= 0:
-            raise NotFullDimensional(f"feasible region inside {support} is not 2-dimensional")
+            raise ValueError(f"feasible region inside {support} is not 2-dimensional")
     return dual_cone(Cone2(lo, hi))
 
 
 @dataclass(frozen=True)
 class AffineSemigroup:
-    """σ^∨ intersected with Z^2, with a fixed generator list."""
+    """σ^∨ intersected with Z^2; σ alone determines it."""
 
-    dual_cone: Cone2          # σ^∨, the cone of exponents
-    generators: tuple         # Hilbert basis of dual_cone ∩ Z^2
     support_cone: Cone2       # σ, the cone of weight vectors
+    # σ^∨, the cone of exponents, and the sorted Hilbert basis of σ^∨ ∩ Z^2
+    dual_cone: Cone2 = field(init=False, compare=False, repr=False)
+    generators: tuple = field(init=False, compare=False, repr=False)
 
-    @classmethod
-    def from_support_cone(cls, support: Cone2) -> "AffineSemigroup":
-        dual = dual_cone(support)
-        return cls(dual, tuple(sorted(hilbert_basis(dual))), support)
+    def __post_init__(self):
+        dual = dual_cone(self.support_cone)
+        object.__setattr__(self, "dual_cone", dual)
+        object.__setattr__(self, "generators", tuple(sorted(hilbert_basis(dual))))
 
 
 def min_common_multiples(sg: AffineSemigroup, a: Vec, b: Vec) -> set:

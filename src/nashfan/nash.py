@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import ContextMismatch, MatrixOrdering, Poly
+from .algebra import MatrixOrdering, Poly
 from .fan import cone_of_basis, groebner_fan, sweep_start
 from .groebner import Ideal, buchberger, normal_form, standard_monomials
 from .lattice import AffineSemigroup, Cone2, Vec, multiplicity, vadd, vscale, vsub
@@ -21,11 +21,11 @@ from .lattice import AffineSemigroup, Cone2, Vec, multiplicity, vadd, vscale, vs
 
 def a3_semigroup() -> AffineSemigroup:
     """sigma = cone((0,1),(4,-3)); the ring C[u, u^3v^4, uv]."""
-    return AffineSemigroup.from_support_cone(Cone2((0, 1), (4, -3)))
+    return AffineSemigroup(Cone2((0, 1), (4, -3)))
 
 
-def a3_ordering(sg: AffineSemigroup | None = None) -> MatrixOrdering:
-    return MatrixOrdering(((2, -1), (1, 1)), sg if sg is not None else a3_semigroup())
+def a3_ordering(sg: AffineSemigroup) -> MatrixOrdering:
+    return MatrixOrdering(((2, -1), (1, 1)), sg)
 
 
 def jn_generators(sg: AffineSemigroup, n: int) -> Ideal:
@@ -156,7 +156,7 @@ def l_vector(n: int) -> Vec:
 def phi_specialize(f: Poly) -> dict:
     """Image of f under u^x v^y -> lambda^(y - x), as exponent -> coefficient."""
     if f.sg != a3_semigroup():
-        raise ContextMismatch("phi is defined on the A3 semigroup ring only")
+        raise ValueError("phi is defined on the A3 semigroup ring only")
     out = {}
     for e, c in f.terms.items():
         k = phi_linear(e)
@@ -242,5 +242,5 @@ def nash_fan(surface_cone: Cone2, n: int) -> list:
     cone's first ray to its second; the blowup is singular iff one of them
     has multiplicity above 1.
     """
-    sg = AffineSemigroup.from_support_cone(surface_cone)
+    sg = AffineSemigroup(surface_cone)
     return groebner_fan(jn_basis_at(sg, sweep_start(sg), n))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import multiplicity, vadd
-from .nash import dn_set, pn_family
+from .nash import a3_semigroup, dn_set, pn_family
 
 UNIT = 40
 MARGIN = 1  # lattice units around the drawn points
@@ -51,18 +51,19 @@ def pn_dn_figure(n: int) -> str:
     width, height = max_x + 2 * MARGIN, max_y + 2 * MARGIN
 
     body = []
-    # boundary rays of the dual cone: directions (1,0) and (3,4)
+    # boundary rays of the dual cone
+    dual = a3_semigroup().dual_cone
     ox, oy = _to_px((0, 0), height)
-    for ray in ((1, 0), (3, 4)):
+    for ray in (dual.ray1, dual.ray2):
         k = max(max_x, max_y)
         ex, ey = _to_px((ray[0] * k, ray[1] * k), height)
         body.append(
             f'<line class="dual-ray" x1="{ox}" y1="{oy}" x2="{ex}" y2="{ey}" '
             'stroke="black" stroke-width="1"/>'
         )
-    # polygonal dividing line through the family, continued along (3,4)
+    # polygonal dividing line through the family, continued along the dual cone's second ray
     chain = [fam.p] + list(reversed(fam.q)) + list(fam.r) + [fam.s]
-    chain.append(vadd(fam.s, (3, 4)))
+    chain.append(vadd(fam.s, dual.ray2))
     coords = " ".join(
         "{},{}".format(*_to_px(p, height)) for p in chain
     )

@@ -1,14 +1,16 @@
 """Reference computations that the tests compare the engine against.
 
 Nothing under ``src/nashfan`` calls these: divisibility of monomials
-(``divides``), bounded enumeration of semigroup members, multiplication by
-a monomial, S-polynomials at every minimal common multiple, the strand
-shift θ and the pairing ψ with the second ray of the cone of GB(J_n), the
-ℚ[λ] gcd that checks φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis
-is the reduced basis of J_n which never calls ``buchberger``, the check
-that a list of cones tiles a support cone in angular order, an
-inter-reduction that divides every kept element, and the primitive part
-of a polynomial over Fractions.
+(``divides``), bounded enumeration of semigroup members, minimal common
+multiples by a scan of a box, random members of a semigroup with three
+generators, multiplication by a monomial, S-polynomials at every minimal
+common multiple, the strand shift θ and the pairing ψ with the second
+ray of the cone of GB(J_n), the ℚ[λ] gcd that checks
+φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the reduced
+basis of J_n which never calls ``buchberger``, the check that a list of
+cones tiles a support cone in angular order, an inter-reduction that
+divides every kept element, and the primitive part of a polynomial over
+Fractions.
 """
 
 import math
@@ -67,6 +69,42 @@ def enumerate_below(sg, weight, bound: int) -> list:
                 found.append(p)
     found.sort(key=lambda p: (vdot(weight, p), p))
     return found
+
+
+def mcm_oracle(sg, a, b):
+    """Divisibility-minimal common multiples, by a scan of a symmetric box.
+
+    The box reaches past a and b by twice the rays of σ^∨.  A weight inside
+    σ puts every proper divisor first, so a common multiple is minimal iff
+    no minimal one found before it divides it.
+    """
+    r1, r2 = sg.dual_cone.ray1, sg.dual_cone.ray2
+    bound = max(map(abs, a + b)) + 2 * (max(map(abs, r1)) + max(map(abs, r2)))
+    w = vadd(sg.support_cone.ray1, sg.support_cone.ray2)
+    common = sorted(
+        (
+            (x, y)
+            for x in range(-bound, bound + 1)
+            for y in range(-bound, bound + 1)
+            if divides(sg, a, (x, y)) and divides(sg, b, (x, y))
+        ),
+        key=lambda m: vdot(w, m),
+    )
+    minimal = []
+    for m in common:
+        if not any(divides(sg, q, m) for q in minimal):
+            minimal.append(m)
+    return set(minimal)
+
+
+def random_member(sg, rng, span=5):
+    """A combination of the three generators, each taken 0 to span times."""
+    g1, g2, g3 = sg.generators
+    a, b, c = rng.randint(0, span), rng.randint(0, span), rng.randint(0, span)
+    return (
+        a * g1[0] + b * g2[0] + c * g3[0],
+        a * g1[1] + b * g2[1] + c * g3[1],
+    )
 
 
 def shift(f, a):

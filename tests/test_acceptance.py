@@ -30,8 +30,16 @@ from nashfan.nash import (
     pn_family,
 )
 
-from oracles import divides, phi_ideal_is_power, psi, s_polynomials, theta, validate_fan
-from test_semigroup import mcm_oracle, random_member
+from oracles import (
+    divides,
+    mcm_oracle,
+    phi_ideal_is_power,
+    psi,
+    random_member,
+    s_polynomials,
+    theta,
+    validate_fan,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
 

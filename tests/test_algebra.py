@@ -6,11 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nashfan.algebra import (
-    ContextMismatch,
     MatrixOrdering,
     Poly,
-    WeightOutsideSigma,
-    ZeroPolynomial,
     initial_form,
     leading_monomial,
 )
@@ -43,7 +40,7 @@ def g1_poly(sg):
 
 def test_poly_rejects_non_members(a3):
     sg, _ = a3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"exponent \(2, 3\) is not a semigroup member"):
         Poly(sg, {(2, 3): 1})
 
 
@@ -122,12 +119,12 @@ def test_ring_axioms_on_random_polys(a3):
 
 def test_context_mismatch(a3):
     sg, _ = a3
-    other = AffineSemigroup.from_support_cone(Cone2((1, 0), (0, 1)))
-    with pytest.raises(ContextMismatch):
+    other = AffineSemigroup(Cone2((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="polynomials over different semigroups"):
         Poly.monomial(sg, (1, 1)) + Poly.monomial(other, (1, 1))
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(ValueError, match="polynomials over different semigroups"):
         Poly.monomial(sg, (1, 1)) * Poly.monomial(other, (1, 1))
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(ValueError, match="polynomials over different semigroups"):
         Poly.monomial(sg, (1, 1)).shift_sub((0, 0), Poly.monomial(other, (1, 1)), (0, 0))
     assert (Poly.monomial(sg, (1, 1)) == "x") is False
 
@@ -149,7 +146,7 @@ def test_shift_sub_matches_shift_and_subtraction(a3):
         for x, h, y in ((a, g, b), (a, f, (0, 0)), ((0, 0), f + g, b)):
             assert typed_terms(f.shift_sub(x, h, y)) == typed_terms(shift(f, x) - shift(h, y))
         assert f.shift_sub(a, f, a).is_zero
-    csg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    csg = AffineSemigroup(Cone2((0, 1), (7, -3)))
     halves = [
         g
         for gc in groebner_fan(jn_basis_at(csg, sweep_start(csg), 2))
@@ -249,10 +246,10 @@ def test_leading_monomial_examples(a3):
 
 def test_leading_monomial_errors(a3):
     sg, ordering = a3
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError, match="zero polynomial has no leading monomial"):
         leading_monomial(ordering, Poly.zero(sg))
-    other = AffineSemigroup.from_support_cone(Cone2((1, 0), (0, 1)))
-    with pytest.raises(ContextMismatch):
+    other = AffineSemigroup(Cone2((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="polynomial and ordering over different semigroups"):
         leading_monomial(ordering, Poly.monomial(other, (1, 1)))
 
 
@@ -264,7 +261,7 @@ def test_initial_form_examples(a3):
     for n in range(2, 7):
         power = math.prod([Poly.monomial(sg, (1, 1)) - 1] * (n - 1))
         assert initial_form((2, -1), power) == Poly.monomial(sg, (n - 1, n - 1))
-    with pytest.raises(WeightOutsideSigma):
+    with pytest.raises(ValueError, match=r"\(-1, 0\) is outside the support cone"):
         initial_form((-1, 0), f)
 
 

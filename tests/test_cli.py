@@ -6,11 +6,13 @@ from pathlib import Path
 from click.testing import CliRunner, _NamedTextIOWrapper
 
 import nashfan.cli
+import nashfan.fan
 import nashfan.nash
 from nashfan import groebner
 from nashfan.cli import main
+from nashfan.fan import GroebnerCone
 from nashfan.groebner import MarkedBasis
-from nashfan.nash import a3_ordering
+from nashfan.lattice import Cone2
 from nashfan.render import _fmt
 
 
@@ -30,11 +32,11 @@ def test_gb_text_output():
     ]
 
 
-def test_gb_json_round_trip(jn_basis):
+def test_gb_json_round_trip(a3, jn_basis):
     result = run("gb", "--n", "1", "--format", "json")
     assert result.exit_code == 0
     data = json.loads(result.output)
-    again = MarkedBasis.from_json(a3_ordering(), data)
+    again = MarkedBasis.from_json(a3[1], data)
     assert again.elements == jn_basis(1).elements
 
 
@@ -123,6 +125,15 @@ def test_generator_cap_is_an_error_not_a_hang():
     assert result.stdout == ""
 
 
+def test_stalled_sweep_is_an_error_not_a_traceback(monkeypatch):
+    """A sweep that does not advance ends in exit 2 with one error line on stderr."""
+    monkeypatch.setattr(nashfan.fan, "cone_of_basis", lambda basis: GroebnerCone(Cone2((1, 0), (0, 1)), basis))
+    result = run("nash", "--cone", "0,1,7,-3", "--n", "1")
+    assert result.exit_code == 2
+    assert result.stderr == "error: cone Cone2(ray1=(1, 0), ray2=(0, 1)) does not start at frontier ray (7, -3)\n"
+    assert result.stdout == "" and "Traceback" not in result.output
+
+
 def test_out_into_missing_directory(tmp_path):
     out = tmp_path / "missing" / "x.json"
     result = run("gb", "--n", "1", "--format", "json", "--out", str(out))
@@ -206,6 +217,13 @@ def test_figures_marker_counts(tmp_path):
     svg2 = out2.read_text()
     assert svg2.count('class="p-marker"') == 5
     assert svg2.count('class="d-marker"') == 6
+
+
+def test_figures_bytes_match_golden(tmp_path):
+    """The exact bytes of ``figures``: rays, dividing line and markers."""
+    out = tmp_path / "n6.svg"
+    assert run("figures", "--n", "6", "--out", str(out)).exit_code == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / "figures_n6.svg").read_bytes()
 
 
 def test_svg_numbers_are_exact_or_two_decimals_ties_to_even():

@@ -7,7 +7,7 @@ import pytest
 
 import nashfan.fan as fan_module
 from nashfan.algebra import MatrixOrdering, Poly, initial_form, leading_monomial
-from nashfan.fan import cone_of_basis, fan_to_json, groebner_fan, sweep_start
+from nashfan.fan import GroebnerCone, cone_of_basis, fan_to_json, groebner_fan, sweep_start
 from nashfan.groebner import Ideal, MarkedBasis, buchberger, normal_form, standard_monomials
 from nashfan.lattice import AffineSemigroup, Cone2, multiplicity, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
@@ -135,8 +135,17 @@ def test_fan_json_shape(a3):
 def test_groebner_fan_refuses_a_basis_under_another_ordering(jn_basis):
     # GB(J_1) of A3 under a3_ordering is a reduced basis, but not the
     # sweep's first cone
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the sweep starts from the reduced basis"):
         groebner_fan(jn_basis(1))
+
+
+def test_groebner_fan_stops_at_a_cone_off_the_frontier(monkeypatch):
+    # a cone that does not start where the last one ended would leave a
+    # gap or an overlap in the fan; the sweep raises instead of going on
+    monkeypatch.setattr(fan_module, "cone_of_basis", lambda basis: GroebnerCone(Cone2((1, 0), (0, 1)), basis))
+    sg = a3_semigroup()
+    with pytest.raises(RuntimeError, match=r"does not start at frontier ray \(4, -3\)"):
+        groebner_fan(jn_basis_at(sg, sweep_start(sg), 1))
 
 
 def test_seeded_sweep_matches_unseeded_buchberger():
@@ -148,7 +157,7 @@ def test_seeded_sweep_matches_unseeded_buchberger():
     # three tower steps under the boundary ordering sweep_start
     cases += [(Cone2((0, 1), (7, -3)), 3), (Cone2((0, 1), (11, -4)), 3)]
     for c, n in cases:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         ideal = jn_generators(sg, n)
         for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), n)):
             assert gc.basis == buchberger(ideal, gc.basis.ordering), (c, n, gc.cone)
@@ -165,7 +174,7 @@ def test_every_fan_cone_has_the_colength_of_a_smooth_point():
     check on outside input, reads every basis back unchanged.
     """
     for c, n in SWEEP_CASES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), n)):
             std = standard_monomials(gc.basis)
             assert len(std) == (n + 1) * (n + 2) // 2, (c, n, gc.cone)
@@ -208,7 +217,7 @@ def test_every_flip_matches_the_full_buchberger_step(monkeypatch):
     monkeypatch.setattr(fan_module, "interreduce", recording_interreduce)
     mixed = known = 0
     for c, n in SWEEP_CASES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         steps.clear()
         cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), n))
         assert len(steps) == len(cones) - 1
@@ -237,7 +246,7 @@ def test_sweep_keeps_its_non_integer_coefficients():
     The golden file holds fan_to_json of this sweep.  JSON writes each
     coefficient as numerator and denominator, whichever type stores it.
     """
-    sg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    sg = AffineSemigroup(Cone2((0, 1), (7, -3)))
     cones = groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
     assert fan_to_json(cones) == json.loads(GOLDEN_7_3.read_text())
     coeffs = [c for gc in cones for g, _ in gc.basis.elements for c in g.terms.values()]

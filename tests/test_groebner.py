@@ -18,8 +18,6 @@ from nashfan.fan import cone_of_basis, groebner_fan, sweep_start
 from nashfan.groebner import (
     Ideal,
     MarkedBasis,
-    PairQueueExhausted,
-    QuotientNotFinite,
     buchberger,
     normal_form,
     standard_monomials,
@@ -162,7 +160,7 @@ def test_kernel_divisibility_agrees_with_divides():
     """
     box = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
     for c in KERNEL_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         ord = sweep_start(sg)
         inner = vadd(sg.dual_cone.ray1, sg.dual_cone.ray2)
         k = 0
@@ -195,7 +193,7 @@ def test_reduce_matches_reference_division():
     """_reduce by a non-Groebner divisor list; no basis is built with it."""
     rng = random.Random(89)
     for c in KERNEL_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         for ord in kernel_orderings(sg):
             pairs = monic_products(sg, ord, 2)
             table = groebner.divisor_table(pairs, ord)
@@ -214,7 +212,7 @@ def test_reduce_pseudo_divides_by_non_monic_divisors():
     """
     rng = random.Random(103)
     for c in KERNEL_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         for ord in kernel_orderings(sg):
             pairs = []
             for g in jn_generators(sg, 2).generators:
@@ -244,7 +242,7 @@ def test_reduce_emits_terms_in_decreasing_order():
     rng = random.Random(107)
     checked = 0
     for c in KERNEL_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         for ord in kernel_orderings(sg):
             monic = monic_products(sg, ord, 2)
             non_monic = [
@@ -276,7 +274,7 @@ def test_reduce_appends_the_terms_below_the_smallest_mark():
     rng = random.Random(131)
     reduced = appended = 0
     for c in KERNEL_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         for ord in kernel_orderings(sg):
             pairs = monic_products(sg, ord, 2)
             for _ in range(12):
@@ -314,7 +312,7 @@ def test_reduce_skips_a_cancelled_term_without_dividing_it():
     never reads the tail of the second, which divides x^(0,k).  Dividing
     the cancelled term would only add zeros, so the remainder alone could
     not tell."""
-    sg = AffineSemigroup.from_support_cone(Cone2((1, 0), (0, 1)))
+    sg = AffineSemigroup(Cone2((1, 0), (0, 1)))
     ord = MatrixOrdering(((1, 1), (1, 0)), sg)
     for k in (1, 2):
         f = Poly(sg, {(3, 0): 1, (0, k): 1})
@@ -388,7 +386,7 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
     monkeypatch.setattr(groebner, "_reduce", recording)
     monkeypatch.setattr(groebner, "interreduce", marking)
     sg, ordering = a3
-    csg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    csg = AffineSemigroup(Cone2((0, 1), (7, -3)))
     for ideal, ord in ((jn_generators(sg, 3), ordering), (jn_generators(csg, 2), sweep_start(csg))):
         calls.clear()
         final.clear()
@@ -467,7 +465,7 @@ def test_final_pass_divides_exactly_the_elements_it_changes(a3, monkeypatch):
     list(itertools.islice(nash_module.jn_bases(sg, ordering), 10))
     assert runs == 10 and divisions == []
     for c in cyclic_cones(9):
-        csg = AffineSemigroup.from_support_cone(c)
+        csg = AffineSemigroup(c)
         for n in (1, 2, 3):
             groebner_fan(jn_basis_at(csg, sweep_start(csg), n))
     assert len(divisions) > 0 and all(divisions)
@@ -488,7 +486,7 @@ def test_interreduce_needs_no_promise_from_its_caller(a3):
     rng = random.Random(18)
     sg, ordering = a3
     bases = list(itertools.islice(nash_module.jn_bases(sg, ordering), 6))
-    csg = AffineSemigroup.from_support_cone(Cone2((0, 1), (7, -3)))
+    csg = AffineSemigroup(Cone2((0, 1), (7, -3)))
     bases += [gc.basis for gc in groebner_fan(jn_basis_at(csg, sweep_start(csg), 2))]
     polluted = 0
     for basis in bases:
@@ -514,7 +512,7 @@ def test_interreduce_needs_no_promise_from_its_caller(a3):
 def test_normal_form_matches_reference_division():
     rng = random.Random(97)
     for c in KERNEL_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         for ord in kernel_orderings(sg):
             basis = jn_basis_at(sg, ord, 2)
             for _ in range(12):
@@ -524,11 +522,11 @@ def test_normal_form_matches_reference_division():
 
 def test_ideal_rejects_bad_generators(a3):
     sg, _ = a3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ideal needs at least one generator"):
         Ideal(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ideal generators must be nonzero"):
         Ideal((Poly.zero(sg),))
-    other = AffineSemigroup.from_support_cone(Cone2((1, 0), (0, 1)))
+    other = AffineSemigroup(Cone2((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="different semigroups"):
         Ideal((Poly.monomial(sg, (1, 0)), Poly.monomial(other, (1, 0))))
 
@@ -684,7 +682,7 @@ def test_working_basis_stays_integral(a3, monkeypatch):
     jn_basis_at(sg, ordering, 8)
     assert not outside
     for c in (Cone2((0, 1), (7, -3)), Cone2((0, 1), (11, -4))):
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         groebner_fan(jn_basis_at(sg, sweep_start(sg), 2))
     assert non_monic
     assert any(type(c) is Fraction for f in outside for c in f.terms.values())
@@ -731,7 +729,7 @@ def test_buchberger_criterion_on_output(jn_basis):
 
 def test_buchberger_criterion_on_every_fan_cone():
     for c in CRITERION_CONES:
-        sg = AffineSemigroup.from_support_cone(c)
+        sg = AffineSemigroup(c)
         for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), 2)):
             assert_s_polynomials_reduce_to_zero(gc.basis)
 
@@ -756,7 +754,7 @@ def test_cap_counts_only_reduced_pairs(a3, monkeypatch):
     monkeypatch.setattr(groebner, "MAX_REDUCTIONS", pairs)
     assert buchberger(ideal, ordering).elements == expected.elements
     monkeypatch.setattr(groebner, "MAX_REDUCTIONS", pairs - 1)
-    with pytest.raises(PairQueueExhausted):
+    with pytest.raises(RuntimeError, match=f"more than {pairs - 1} S-pair reductions"):
         buchberger(ideal, ordering)
 
 
@@ -794,7 +792,7 @@ def test_standard_monomials_examples(a3, jn_basis):
 def test_standard_monomials_not_finite(a3):
     sg, ordering = a3
     basis = buchberger(Ideal((Poly.monomial(sg, (1, 0)) - 1,)), ordering)
-    with pytest.raises(QuotientNotFinite):
+    with pytest.raises(ValueError, match="no mark lies on one of the rays of the exponent cone"):
         standard_monomials(basis)
 
 
@@ -898,7 +896,7 @@ def test_colength_stop_fires_at_the_first_exact_count(a3, monkeypatch):
     sg, ordering = a3
     list(itertools.islice(nash_module.jn_bases(sg, ordering), 12))
     for c in cyclic_cones(9):
-        csg = AffineSemigroup.from_support_cone(c)
+        csg = AffineSemigroup(c)
         for n in (1, 2, 3):
             groebner_fan(jn_basis_at(csg, sweep_start(csg), n))
     past_inserts = 0
@@ -935,7 +933,7 @@ def test_marks_are_only_hints(a3, jn_basis, monkeypatch):
     expected = [jn_basis(n) for n in range(2, 5)]
     list(itertools.islice(nash_module.jn_bases(sg, ordering), 4))
     c = Cone2((0, 1), (7, -3))
-    csg = AffineSemigroup.from_support_cone(c)
+    csg = AffineSemigroup(c)
     cyclic = list(itertools.islice(nash_module.jn_bases(csg, sweep_start(csg)), 3))
     cases = list(zip(ideals[1:4], expected)) + list(zip(ideals[5:7], cyclic[1:]))
     rng = random.Random(113)
@@ -949,7 +947,7 @@ def test_marks_are_only_hints(a3, jn_basis, monkeypatch):
             for colength in (ideal.colength, None):
                 got = groebner.buchberger(Ideal(gens, colength, marks), ord)
                 assert got == want, (ord, colength)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="marks for .* generators"):
         Ideal(ideals[0][0].generators, None, ideals[0][0].marks[1:])
 
 
@@ -1011,7 +1009,7 @@ def test_tail_inter_reduction_on_cyclic_cone():
     # the fan sweep of J_2 over cone((0,1),(5,-2)) yields elements whose
     # tails still hold other marks after the S-pair loop; the reduced
     # result must be a fixpoint of buchberger under the same ordering
-    sg = AffineSemigroup.from_support_cone(Cone2((0, 1), (5, -2)))
+    sg = AffineSemigroup(Cone2((0, 1), (5, -2)))
     for gc in groebner_fan(buchberger(jn_generators(sg, 2), sweep_start(sg))):
         basis = gc.basis
         again = buchberger(Ideal(tuple(g for g, _ in basis.elements)), basis.ordering)
@@ -1021,5 +1019,5 @@ def test_tail_inter_reduction_on_cyclic_cone():
 def test_buchberger_cap_raises(a3, monkeypatch):
     sg, ordering = a3
     monkeypatch.setattr(groebner, "MAX_REDUCTIONS", 5)
-    with pytest.raises(PairQueueExhausted):
+    with pytest.raises(RuntimeError, match="more than 5 S-pair reductions"):
         buchberger(jn_generators(sg, 2), ordering)

@@ -4,44 +4,9 @@ from math import gcd
 
 import pytest
 
-from nashfan.lattice import AffineSemigroup, Cone2, contains, min_common_multiples, vadd, vdot, vsub
+from nashfan.lattice import AffineSemigroup, Cone2, contains, min_common_multiples, vdot, vsub
 
-from oracles import InvalidWeight, divides, enumerate_below
-
-
-def mcm_oracle(sg, a, b):
-    """Divisibility-minimal common multiples, by a scan of a symmetric box.
-
-    The box reaches past a and b by twice the rays of σ^∨.  A weight inside
-    σ puts every proper divisor first, so a common multiple is minimal iff
-    no minimal one found before it divides it.
-    """
-    r1, r2 = sg.dual_cone.ray1, sg.dual_cone.ray2
-    bound = max(map(abs, a + b)) + 2 * (max(map(abs, r1)) + max(map(abs, r2)))
-    w = vadd(sg.support_cone.ray1, sg.support_cone.ray2)
-    common = sorted(
-        (
-            (x, y)
-            for x in range(-bound, bound + 1)
-            for y in range(-bound, bound + 1)
-            if divides(sg, a, (x, y)) and divides(sg, b, (x, y))
-        ),
-        key=lambda m: vdot(w, m),
-    )
-    minimal = []
-    for m in common:
-        if not any(divides(sg, q, m) for q in minimal):
-            minimal.append(m)
-    return set(minimal)
-
-
-def random_member(sg, rng, span=5):
-    g1, g2, g3 = sg.generators
-    a, b, c = rng.randint(0, span), rng.randint(0, span), rng.randint(0, span)
-    return (
-        a * g1[0] + b * g2[0] + c * g3[0],
-        a * g1[1] + b * g2[1] + c * g3[1],
-    )
+from oracles import InvalidWeight, divides, enumerate_below, mcm_oracle, random_member
 
 
 def test_is_member_examples(a3):
@@ -99,7 +64,7 @@ def test_min_common_multiples_agrees_with_oracle_on_other_cones():
     supports += [Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3)), Cone2((-1, -1), (3, -2))]
     rng = random.Random(59)
     for support in supports:
-        sg = AffineSemigroup.from_support_cone(support)
+        sg = AffineSemigroup(support)
         members = [p for p in product(range(-6, 7), repeat=2) if contains(sg.dual_cone, p)]
         for _ in range(5):
             a, b = rng.choice(members), rng.choice(members)
