@@ -110,7 +110,7 @@ def _columns(c: Cone2):
     (a, b) of ``cone_coords``.
     """
     (x1, y1), (x2, y2) = c.ray1, c.ray2
-    d = cross(c.ray1, c.ray2)
+    d = multiplicity(c)
     # v = (vx, vy) with vx*y2 - vy*x2 = 1
     vx = pow(y2, -1, abs(x2)) if x2 else y2
     vy = (vx * y2 - 1) // x2 if x2 else 0

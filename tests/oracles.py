@@ -10,16 +10,23 @@ ray of the cone of GB(J_n), the ℚ[λ] gcd that checks
 basis of J_n which never calls ``buchberger``, the check that a list of
 cones tiles a support cone in angular order, an inter-reduction that
 divides every kept element, and the primitive part of a polynomial over
-Fractions.
+Fractions.  It also holds the inputs that several test modules share:
+the cyclic quotient cones up to a given index (``cyclic_cones``), a
+polynomial's terms with their coefficient types (``typed_terms``), and
+the reduced basis of J_1 on A3 pinned in ``golden/a3_j1_basis.json``
+(``golden_j1_basis``).
 """
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from nashfan.algebra import MatrixOrdering, Poly
 from nashfan.groebner import MarkedBasis, _divisor, _reduce
 from nashfan.lattice import (
     AffineSemigroup,
+    Cone2,
     cone_coords,
     contains,
     min_common_multiples,
@@ -300,3 +307,24 @@ def primitive(f):
     if coeffs[0] < 0:
         content = -content
     return Poly(f.sg, {e: Fraction(c) / content for e, c in f.terms.items()})
+
+
+def cyclic_cones(d_max):
+    """cone((0, 1), (d, -k)) for 2 <= d <= d_max and 0 < k < d coprime to d."""
+    return [
+        Cone2((0, 1), (d, -k))
+        for d in range(2, d_max + 1)
+        for k in range(1, d)
+        if math.gcd(d, k) == 1
+    ]
+
+
+def typed_terms(f):
+    """f's (exponent, coefficient, coefficient type) triples in f's order."""
+    return [(e, c, type(c)) for e, c in f.terms.items()]
+
+
+def golden_j1_basis(ordering):
+    """The reduced basis of J_1 on A3 under ordering, read from the golden file."""
+    path = Path(__file__).parent / "golden" / "a3_j1_basis.json"
+    return MarkedBasis.from_json(ordering, json.loads(path.read_text()))

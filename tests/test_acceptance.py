@@ -4,16 +4,13 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 All comparisons are exact (integer/rational arithmetic, zero tolerance).
 """
 
-import json
 import random
 import time
-from pathlib import Path
 
 from nashfan.algebra import MatrixOrdering, Poly, initial_form
 from nashfan.fan import cone_of_basis, groebner_fan, sweep_start
 from nashfan.groebner import (
     Ideal,
-    MarkedBasis,
     buchberger,
     normal_form,
     standard_monomials,
@@ -32,6 +29,7 @@ from nashfan.nash import (
 
 from oracles import (
     divides,
+    golden_j1_basis,
     mcm_oracle,
     phi_ideal_is_power,
     psi,
@@ -40,8 +38,6 @@ from oracles import (
     theta,
     validate_fan,
 )
-
-GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
 
 
 def report(num, ok, started):
@@ -54,7 +50,7 @@ def test_criterion_1_golden_j1_basis(a3):
     started = time.perf_counter()
     sg, ordering = a3
     basis = buchberger(jn_generators(sg, 1), ordering)
-    golden = MarkedBasis.from_json(ordering, json.loads(GOLDEN.read_text()))
+    golden = golden_j1_basis(ordering)
     ok = (
         basis.elements == golden.elements
         and basis.marks() == {(3, 4), (2, 2), (2, 1), (2, 0)}

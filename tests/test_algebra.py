@@ -15,21 +15,12 @@ from nashfan.fan import groebner_fan, sweep_start
 from nashfan.lattice import AffineSemigroup, Cone2, vdot, vscale, vsub
 from nashfan.nash import jn_basis_at
 
-from oracles import divides, shift
-
-
-def random_member(sg, rng, span=4):
-    g1, g2, g3 = sg.generators
-    a, b, c = rng.randint(0, span), rng.randint(0, span), rng.randint(0, span)
-    return (
-        a * g1[0] + b * g2[0] + c * g3[0],
-        a * g1[1] + b * g2[1] + c * g3[1],
-    )
+from oracles import divides, random_member, shift, typed_terms
 
 
 def random_poly(sg, rng, nterms=4):
     return Poly(sg, {
-        random_member(sg, rng): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        random_member(sg, rng, span=4): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         for _ in range(nterms)
     })
 
@@ -129,10 +120,6 @@ def test_context_mismatch(a3):
     assert (Poly.monomial(sg, (1, 1)) == "x") is False
 
 
-def typed_terms(f):
-    return [(e, c, type(c)) for e, c in f.terms.items()]
-
-
 def test_shift_sub_matches_shift_and_subtraction(a3):
     """x^a f - x^b g in one pass against shift(f, a) - shift(g, b): the same
     terms in the same order, each coefficient of the same type.  On random
@@ -142,7 +129,7 @@ def test_shift_sub_matches_shift_and_subtraction(a3):
     rng = random.Random(67)
     for _ in range(60):
         f, g = random_poly(sg, rng), random_poly(sg, rng)
-        a, b = random_member(sg, rng), random_member(sg, rng)
+        a, b = random_member(sg, rng, span=4), random_member(sg, rng, span=4)
         for x, h, y in ((a, g, b), (a, f, (0, 0)), ((0, 0), f + g, b)):
             assert typed_terms(f.shift_sub(x, h, y)) == typed_terms(shift(f, x) - shift(h, y))
         assert f.shift_sub(a, f, a).is_zero
@@ -200,7 +187,7 @@ def test_ordering_keeps_the_two_rows_that_decide(a3):
     rows does."""
     sg, ordering = a3
     rng = random.Random(47)
-    members = [random_member(sg, rng) for _ in range(40)]
+    members = [random_member(sg, rng, span=4) for _ in range(40)]
     for base in (ordering, sweep_start(sg), MatrixOrdering(((0, 1), (1, 0)), sg)):
         p, q = base.rows
         padded = [
@@ -226,7 +213,7 @@ def test_ordering_axioms_on_random_triples(a3):
     sg, ordering = a3
     rng = random.Random(43)
     for _ in range(1000):
-        a, b, c = (random_member(sg, rng) for _ in range(3))
+        a, b, c = (random_member(sg, rng, span=4) for _ in range(3))
         ka, kb = ordering.key(a), ordering.key(b)
         if divides(sg, b, a):
             assert ka >= kb

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,8 +13,7 @@ from nashfan.groebner import Ideal, MarkedBasis, buchberger, normal_form, standa
 from nashfan.lattice import AffineSemigroup, Cone2, multiplicity, vadd, vdot, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 
-from oracles import certified, standard_set, validate_fan
-from test_nash import cyclic_cones
+from oracles import certified, cyclic_cones, standard_set, validate_fan
 
 GOLDEN_7_3 = Path(__file__).parent / "golden" / "cone_0_1_7_-3_fan_n2.json"
 
@@ -146,6 +146,27 @@ def test_groebner_fan_stops_at_a_cone_off_the_frontier(monkeypatch):
     sg = a3_semigroup()
     with pytest.raises(RuntimeError, match=r"does not start at frontier ray \(4, -3\)"):
         groebner_fan(jn_basis_at(sg, sweep_start(sg), 1))
+
+
+def test_groebner_fan_stops_at_its_cone_cap(monkeypatch):
+    # cones from σ's first ray (4, -3) on through the rays (1, k) approach
+    # its second ray (0, 1) and never reach it; each flip returns the first
+    # basis, so no buchberger runs, and the sweep raises at its cap
+    sg = a3_semigroup()
+    first = jn_basis_at(sg, sweep_start(sg), 1)
+    steps = itertools.pairwise(itertools.chain([(4, -3)], ((1, k) for k in itertools.count())))
+    made = []
+
+    def advancing_cone(basis):
+        made.append(GroebnerCone(Cone2(*next(steps)), basis))
+        return made[-1]
+
+    monkeypatch.setattr(fan_module, "cone_of_basis", advancing_cone)
+    monkeypatch.setattr(fan_module, "buchberger", lambda ideal, ord: first)
+    monkeypatch.setattr(fan_module, "interreduce", lambda pairs, ord: first)
+    with pytest.raises(RuntimeError, match="more than 10000 cones; sweep is not terminating"):
+        groebner_fan(first)
+    assert len(made) == 10 ** 4
 
 
 def test_seeded_sweep_matches_unseeded_buchberger():

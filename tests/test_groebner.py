@@ -1,12 +1,10 @@
 import copy
 import itertools
-import json
 import math
 import random
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,29 +20,24 @@ from nashfan.groebner import (
     normal_form,
     standard_monomials,
 )
-from nashfan.lattice import AffineSemigroup, Cone2, contains, points_below, vadd, vdot, vsub
+from nashfan.lattice import AffineSemigroup, Cone2, contains, points_below, vadd, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
 
 from oracles import (
     certified,
+    cyclic_cones,
     divides,
     enumerate_below,
     full_interreduce,
+    golden_j1_basis,
     in_dual,
     in_jn,
     primitive,
     s_polynomials,
     shift,
     standard_set,
+    typed_terms,
 )
-from test_algebra import typed_terms
-from test_nash import cyclic_cones
-
-GOLDEN = Path(__file__).parent / "golden" / "a3_j1_basis.json"
-
-
-def golden_basis(ordering):
-    return MarkedBasis.from_json(ordering, json.loads(GOLDEN.read_text()))
 
 
 def random_ordering(sg, rng):
@@ -598,7 +591,7 @@ def test_s_polynomials_examples(a3):
 
 def test_buchberger_golden_j1(a3, jn_basis):
     _, ordering = a3
-    assert jn_basis(1).elements == golden_basis(ordering).elements
+    assert jn_basis(1).elements == golden_j1_basis(ordering).elements
     assert jn_basis(1).marks() == {(2, 0), (2, 1), (2, 2), (3, 4)}
 
 

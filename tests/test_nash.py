@@ -35,7 +35,15 @@ from nashfan.nash import (
     verify_paper,
 )
 
-from oracles import divides, laurent_gcd, phi_ideal_is_power, psi, theta, validate_fan
+from oracles import (
+    cyclic_cones,
+    divides,
+    laurent_gcd,
+    phi_ideal_is_power,
+    psi,
+    theta,
+    validate_fan,
+)
 
 N_RANGE = range(1, 13)
 
@@ -431,15 +439,6 @@ def test_nash_fan_sweeps_its_cone_in_angular_order():
 # n = 1 oracle: the normal fan inside sigma of the Newton polyhedron
 # conv{a_i + a_j : det(a_i, a_j) != 0} + sigma^vee of the logarithmic
 # Jacobian ideal (Gonzalez Perez-Teissier, RACSAM 2014)
-
-def cyclic_cones(d_max):
-    return [
-        Cone2((0, 1), (d, -k))
-        for d in range(2, d_max + 1)
-        for k in range(1, d)
-        if math.gcd(d, k) == 1
-    ]
-
 
 def newton_fan_cones(sigma: Cone2) -> list:
     """Cones of the normal fan of the Newton polyhedron inside sigma, by angle."""

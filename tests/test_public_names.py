@@ -6,6 +6,10 @@ as a name, an attribute, or a string (``bench/spans.py`` patches engine
 functions by module and name).  An import alone is not a reference, so a
 name that only the package root or the tests import fails.  Click commands
 and groups are exempt: the command line calls them.
+
+The tests keep one layout rule of their own: no test module imports
+another, so each runs alone and a shared helper has one home,
+``tests/oracles.py`` or a fixture in ``tests/conftest.py``.
 """
 
 import ast
@@ -60,3 +64,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if not any(name in refs for stmt, refs in statements if stmt is not node):
                 unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_no_test_module_imports_another():
+    modules = sorted((ROOT / "tests").glob("test_*.py"))
+    stems = {path.stem for path in modules}
+    imports = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] in stems]
+    assert imports == []
