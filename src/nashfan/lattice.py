@@ -85,7 +85,8 @@ def cone_coords(c: Cone2, p: Vec) -> Vec:
     α, β >= 0, and in the semigroup of c's lattice points x^b divides x^a
     iff α(a) >= α(b) and β(a) >= β(b).  This is the one definition of α and
     β that every divisibility test reads; the division kernel
-    ``groebner._reduce`` inlines these two cross products, per term taken.
+    ``groebner._reduce`` and the scan of ``groebner.interreduce`` inline
+    these two cross products, per term.
     """
     (x1, y1), (x2, y2) = c.ray1, c.ray2
     return p[0] * y2 - p[1] * x2, x1 * p[1] - y1 * p[0]
@@ -106,8 +107,9 @@ def _columns(c: Cone2):
     """(d, t, point): column α = a holds the lattice points with β ≡ a·t (mod d).
 
     d = cross(ray1, ray2) and t = β(v) for a v with α(v) = 1, so
-    gcd(t, d) = 1; point(a, b) is the lattice point with cone coordinates
-    (a, b) of ``cone_coords``.
+    gcd(t, d) = 1 and row β = b holds those with α ≡ b·s (mod d), s the
+    inverse of t mod d; point(a, b) is the lattice point with cone
+    coordinates (a, b) of ``cone_coords``.
     """
     (x1, y1), (x2, y2) = c.ray1, c.ray2
     d = multiplicity(c)
@@ -137,22 +139,45 @@ def minimal_points(c: Cone2, lo1: int, lo2: int) -> set:
     return points
 
 
-def points_below(c: Cone2, corners) -> set | None:
-    """The lattice points of c that no corner divides, or None if infinitely many.
+def coords_below(c: Cone2, corners) -> list | None:
+    """The cone coordinates of the lattice points of c that no corner
+    divides, the corners given by their coordinates (α, β) of
+    ``cone_coords``; None if infinitely many.
 
-    They are finitely many iff a corner lies on each ray of c.  The walk
-    takes the columns of ``_columns`` from α = 0, each up to the lowest β
-    of the corners at or left of it, until the corner with β = 0.
+    They are finitely many iff a corner lies on each ray of c, one with
+    α = 0 and one with β = 0.  The corners by increasing α that set a new
+    lowest β are the steps of a staircase, and the points below it are
+    those of the rectangles [a0, a1) × [0, h) between consecutive steps
+    (a0, h) and (a1, _).  Each rectangle is walked along its shorter side,
+    in the columns or the rows of ``_columns``, so the walk costs the
+    points it returns plus the shorter side of each rectangle, however
+    large the multiplicity of c.
     """
-    coords = [cone_coords(c, p) for p in corners]
-    if all(a for a, _ in coords) or all(b for _, b in coords):
+    steps = []
+    for a, b in sorted(corners):
+        if not steps or b < steps[-1][1]:
+            steps.append((a, b))
+    if not steps or steps[0][0] or steps[-1][1]:
         return None
-    d, t, point = _columns(c)
-    points, a = set(), 0
-    while height := min(b for am, b in coords if am <= a):
-        points.update(point(a, b) for b in range(a * t % d, height, d))
-        a += 1
-    return points
+    d, t, _ = _columns(c)
+    s = pow(t, -1, d)
+    coords = []
+    for (a0, h), (a1, _) in zip(steps, steps[1:]):
+        if a1 - a0 <= h:
+            coords += [(a, b) for a in range(a0, a1) for b in range(a * t % d, h, d)]
+        else:
+            coords += [(a, b) for b in range(h) for a in range(a0 + (b * s - a0) % d, a1, d)]
+    return coords
+
+
+def points_below(c: Cone2, corners) -> set | None:
+    """The lattice points of c that no corner divides, or None if infinitely
+    many: ``coords_below`` of the corners' cone coordinates, mapped to points."""
+    coords = coords_below(c, [cone_coords(c, p) for p in corners])
+    if coords is None:
+        return None
+    point = _columns(c)[2]
+    return {point(a, b) for a, b in coords}
 
 
 def hilbert_basis(c: Cone2) -> set:

@@ -9,9 +9,10 @@ ray of the cone of GB(J_n), the ℚ[λ] gcd that checks
 φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the reduced
 basis of J_n which never calls ``buchberger``, the check that a list of
 cones tiles a support cone in angular order, an inter-reduction that
-divides every kept element, and the primitive part of a polynomial over
-Fractions.  It also holds the inputs that several test modules share:
-the cyclic quotient cones up to a given index (``cyclic_cones``), a
+divides every kept element, the primitive part of a polynomial over
+Fractions, and the points below a staircase walked column by column.
+It also holds the inputs that several test modules share: the cyclic
+quotient cones up to a given index (``cyclic_cones``), a
 polynomial's terms with their coefficient types (``typed_terms``), and
 the reduced basis of J_1 on A3 pinned in ``golden/a3_j1_basis.json``
 (``golden_j1_basis``).
@@ -27,6 +28,7 @@ from nashfan.groebner import MarkedBasis, _divisor, _reduce
 from nashfan.lattice import (
     AffineSemigroup,
     Cone2,
+    _columns,
     cone_coords,
     contains,
     min_common_multiples,
@@ -307,6 +309,23 @@ def primitive(f):
     if coeffs[0] < 0:
         content = -content
     return Poly(f.sg, {e: Fraction(c) / content for e, c in f.terms.items()})
+
+
+def column_walk(c, corners):
+    """The lattice points of c that no corner divides, or None if infinitely
+    many, column by column: every column α = a of ``lattice._columns`` from
+    α = 0, each up to the lowest β of the corners at or left of it, until
+    the corner with β = 0.  It visits as many columns as the α of that
+    corner, at least the multiplicity of c, whatever the points it finds."""
+    coords = [cone_coords(c, p) for p in corners]
+    if all(a for a, _ in coords) or all(b for _, b in coords):
+        return None
+    d, t, point = _columns(c)
+    points, a = set(), 0
+    while height := min(b for am, b in coords if am <= a):
+        points.update(point(a, b) for b in range(a * t % d, height, d))
+        a += 1
+    return points
 
 
 def cyclic_cones(d_max):

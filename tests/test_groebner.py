@@ -502,6 +502,47 @@ def test_interreduce_needs_no_promise_from_its_caller(a3):
     assert len(bases) > 6 and polluted > 50
 
 
+def test_interreduce_tests_the_terms_from_the_smallest_kept_mark(a3):
+    """interreduce tests a term against the kept marks only from the
+    smallest kept mark m0 up.  A reduced basis with one element g_i, i >= 1,
+    given one more term c x^e below its mark, where e is the only term of
+    the element that a kept mark divides: e = m0, or e one step above m0,
+    the smallest multiple above m0 of the marks kept before g_i.  On each
+    tower basis for n <= 6 and each basis of the sweep of
+    cone((0,1),(7,-3)) at n = 2, interreduce equals full_interreduce, so
+    it neither skips a term at m0 nor takes its floor from a larger mark."""
+    rng = random.Random(31)
+    sg, ordering = a3
+    bases = list(itertools.islice(nash_module.jn_bases(sg, ordering), 6))
+    csg = AffineSemigroup(Cone2((0, 1), (7, -3)))
+    bases += [gc.basis for gc in groebner_fan(jn_basis_at(csg, sweep_start(csg), 2))]
+    at_floor = above = 0
+    for basis in bases:
+        ord = basis.ordering
+        elems = sorted(basis.elements, key=lambda gm: ord.key(gm[1]))
+        m0 = elems[0][1]
+        # every multiple of m0 above it is m0 plus a sum of generators, and
+        # m1 lies below every multiple of a larger mark
+        step = min((vadd(m0, s) for s in basis.sg.generators), key=ord.key)
+        for i in range(1, len(elems)):
+            g, m = elems[i]
+            up = step if i == 1 else min(step, elems[1][1], key=ord.key)
+            for e in (m0, up):
+                if ord.key(e) >= ord.key(m):
+                    continue
+                c = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+                pairs = list(elems)
+                pairs[i] = (g + Poly.monomial(basis.sg, e, c), m)
+                got = groebner.interreduce(pairs, ord)
+                assert sorted_typed_elements(got) == sorted_typed_elements(full_interreduce(pairs, ord)), (m, e)
+                assert all(e not in h.terms for h, mk in got.elements if mk == m)
+                if e == m0:
+                    at_floor += 1
+                elif ord.key(e) < ord.key(elems[i - 1][1]):
+                    above += 1
+    assert len(bases) > 6 and at_floor > 50 and above > 30, (at_floor, above)
+
+
 def test_normal_form_matches_reference_division():
     rng = random.Random(97)
     for c in KERNEL_CONES:

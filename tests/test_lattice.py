@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import gcd
 
@@ -7,8 +8,10 @@ import pytest
 from nashfan.lattice import (
     AffineSemigroup,
     Cone2,
+    cone_coords,
     cone_from_inequalities,
     contains,
+    coords_below,
     cross,
     dual_cone,
     hilbert_basis,
@@ -26,6 +29,7 @@ from nashfan.lattice import (
 
 from oracles import (
     InvalidWeight,
+    column_walk,
     divides,
     enumerate_below,
     mcm_oracle,
@@ -255,6 +259,80 @@ def test_points_below_is_the_filtered_box():
                 assert points_below(c, off_ray) is None, (c, off_ray)
             assert points_below(c, corners + [(0, 0)]) == set()
     assert points_below(SIGMA_DUAL, []) is None
+
+
+def random_corner(rng, c, span):
+    """A lattice point of c with both cone coordinates at most span."""
+    d = multiplicity(c)
+    while True:
+        x, y = vadd(vscale(rng.randint(0, span), c.ray1), vscale(rng.randint(0, span), c.ray2))
+        if x % d == 0 and y % d == 0:
+            return (x // d, y // d)
+
+
+def test_points_below_is_the_column_walk():
+    """points_below, which walks each rectangle of the staircase along its
+    shorter side, against the column walk of oracles on 1,200 seeded
+    staircases in cones of multiplicity at most 60, in every quadrant
+    pattern, with up to 8 corners: repeated corners, corners that share an
+    α, corners on both rays or on one, the origin as a corner, and no
+    corner at all.  coords_below returns each point once."""
+    rng = random.Random(67)
+    outcomes = {"none": 0, "empty": 0, "points": 0}
+    for case in range(1200):
+        c = random_cone(rng)
+        if multiplicity(c) > 60:
+            d = rng.randint(2, 60)
+            c = Cone2((0, 1), (d, -rng.choice([k for k in range(1, d) if gcd(k, d) == 1])))
+        c = rotations(c)[case % 4]
+        d = multiplicity(c)
+        span = rng.choice((2, d // 2 + 1, d, 3 * d))
+        corners = [random_corner(rng, c, span) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.9:
+            corners.append(vscale(rng.randint(1, 3), c.ray2))  # α = 0
+        if rng.random() < 0.9:
+            corners.append(vscale(rng.randint(1, 3), c.ray1))  # β = 0
+        if corners and rng.random() < 0.5:
+            corners.append(rng.choice(corners))
+        if corners and rng.random() < 0.5:
+            corners.append(vadd(rng.choice(corners), c.ray2))  # same α
+        if rng.random() < 0.05:
+            corners.append((0, 0))
+        if rng.random() < 0.05:
+            corners = []
+        rng.shuffle(corners)
+        corners = corners[:8]
+        want = column_walk(c, corners)
+        assert points_below(c, corners) == want, (c, corners)
+        if want is None:
+            outcomes["none"] += 1
+        else:
+            outcomes["points" if want else "empty"] += 1
+            assert len(coords_below(c, [cone_coords(c, p) for p in corners])) == len(want)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_points_below_costs_by_its_output():
+    """A cone of multiplicity 10^9 + 1 whose corners leave nine points, in
+    each quadrant pattern: the walk takes the 3 rows of the wide, low
+    rectangle between the corners (3, 3) and (2d, 0) of cone coordinates,
+    where the column walk would visit 2·10^9 columns.
+
+    In cone((0,1),(d,-1)), α(x, y) = x and β(x, y) = d·y + x.  The corners
+    (0, 2), (3, 0) and (2d, -2) have (α, β) = (0, 2d), (3, 3) and (2d, 0).
+    Below them lie x < 3 with d·y + x < 2d, that is y in {0, 1}, and
+    3 <= x < 2d with d·y + x < 3, that is y = -1 and x - d in {0, 1, 2}."""
+    d = 10 ** 9 + 1
+    c = Cone2((0, 1), (d, -1))
+    corners = [(0, 2), (3, 0), (2 * d, -2)]
+    want = {(x, y) for x in range(3) for y in range(2)} | {(d + i, -1) for i in range(3)}
+    start = time.perf_counter()
+    for _ in range(4):
+        assert points_below(c, corners) == want
+        c = Cone2(rot_ccw(c.ray1), rot_ccw(c.ray2))
+        corners = [rot_ccw(p) for p in corners]
+        want = {rot_ccw(p) for p in want}
+    assert time.perf_counter() - start < 5
 
 
 def test_multiplicity_examples():
