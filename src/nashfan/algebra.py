@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import AffineSemigroup, Vec, contains, cross, vadd, vdot
+from .lattice import AffineSemigroup, Vec, contains, cross, vadd
 
 
 def _demote(c):
@@ -44,7 +44,10 @@ class Poly:
         # internal constructor: exponents already known to be members
         p = object.__new__(cls)
         p.sg = sg
-        p.terms = {e: _demote(c) for e, c in terms.items() if c}
+        p.terms = {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c
+        }
         return p
 
     @classmethod
@@ -200,5 +203,7 @@ def initial_form(w: Vec, f: Poly) -> Poly:
         raise ValueError(f"{w} is outside the support cone")
     if f.is_zero:
         return f
-    m = max(vdot(w, e) for e in f.terms)
-    return Poly._make(f.sg, {e: c for e, c in f.terms.items() if vdot(w, e) == m})
+    w0, w1 = w
+    weights = [w0 * e0 + w1 * e1 for e0, e1 in f.terms]
+    m = max(weights)
+    return Poly._make(f.sg, {e: c for (e, c), d in zip(f.terms.items(), weights) if d == m})

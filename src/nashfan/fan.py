@@ -13,7 +13,6 @@ from .lattice import (
     multiplicity,
     rot_ccw,
     vadd,
-    vsub,
 )
 
 
@@ -30,13 +29,12 @@ class GroebnerCone:
 
 
 def cone_of_basis(basis: MarkedBasis) -> GroebnerCone:
-    """The cone of weights in sigma keeping every mark on top of its polynomial."""
-    normals = [
-        vsub(mark, e)
-        for g, mark in basis.elements
-        for e in g.terms
-        if e != mark
-    ]
+    """The cone of weights in sigma keeping every mark on top of its polynomial.
+
+    The normals are mark - e for every term e of an element, the mark's own
+    zero normal included: it constrains no weight.
+    """
+    normals = [(m0 - e0, m1 - e1) for g, (m0, m1) in basis.elements for e0, e1 in g.terms]
     return GroebnerCone(cone_from_inequalities(normals, basis.sg.support_cone), basis)
 
 
@@ -109,7 +107,10 @@ def groebner_fan(first: MarkedBasis) -> list:
         ord = MatrixOrdering((frontier, rot_ccw(frontier)), sg)
         known = {initial_form(frontier, g): g for g, _ in basis.elements}
         flip = buchberger(Ideal(known, colength), ord)
-        lifts = [(known[h] if h in known else h - normal_form(h, basis), m) for h, m in flip.elements]
+        lifts = [
+            (known[h] if h in known else h.shift_sub((0, 0), normal_form(h, basis), (0, 0)), m)
+            for h, m in flip.elements
+        ]
         basis = interreduce(lifts, ord)
 
 

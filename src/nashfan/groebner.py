@@ -161,9 +161,11 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     the reduced term and adds the divisor's tail, shifted by e - mark: one
     dict lookup per tail term, whose coefficient it changes in place, or
     one new record, stored and pushed.  A taken term reads its coefficient
-    from its record and needs no lookup; its record stays in the dict,
-    since every tail term lies strictly below it.  A record that cancels
-    stays in its stream until it is taken and skipped.
+    from its record and needs no lookup.  A record taken from the heap
+    leaves the dict, since every later step adds only terms strictly below
+    it, so a long chain of steps by one row holds only its pending records;
+    f's records stay, as its sorted list holds them to the end anyway.  A
+    record that cancels stays in its stream until it is taken and skipped.
 
     Divisibility is tested on the cone coordinates of ``lattice.cone_coords``,
     computed inline for each term taken, from the exponent cone's rays
@@ -179,6 +181,12 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     and appends them in decreasing order.  The rest of f's sorted list is
     one run, so one sort merges the few heap leftovers into it.  The
     reducing path tests nothing more.
+
+    The remainder's dict is written once, in decreasing order, and becomes
+    the result's: each kept term as it is taken, then the appended ones,
+    but no cancelled record.  A product of Fractions can be integral, so
+    each coefficient written is demoted as ``Poly`` stores it: an integral
+    Fraction as its int numerator.
     """
     dual = ord.sg.dual_cone
     (x1, y1), (x2, y2) = dual.ray1, dual.ray2
@@ -204,6 +212,7 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     while True:
         if heap and (i == n or heap[0] < stream[i]):
             rec = heappop(heap)
+            del terms[rec[2]]
         elif i < n:
             rec = stream[i]
             i += 1
@@ -221,7 +230,7 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
             if a >= row[0] and b >= row[1]:
                 break
         else:
-            out[e] = c
+            out[e] = c if type(c) is int or c.denominator != 1 else c.numerator
             if rec >= floor:
                 break
             continue
@@ -246,14 +255,17 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
             else:
                 r[3] -= c * c2
     # no row divides a pending record; the rest of the stream is one sorted
-    # run, so the sort merges the few heap leftovers into it, and
-    # Poly._make drops the cancelled ones
+    # run, so the sort merges the few heap leftovers into it
     rest = stream[i:]
     rest += heap
     rest.sort()
     for _, _, e, c in rest:
-        out[e] = c
-    return Poly._make(ord.sg, out)
+        if c:
+            out[e] = c if type(c) is int or c.denominator != 1 else c.numerator
+    p = object.__new__(Poly)
+    p.sg = ord.sg
+    p.terms = out
+    return p
 
 
 # the basis normal_form divided by last, and its divisor table

@@ -25,10 +25,6 @@ def vscale(k: int, a: Vec) -> Vec:
     return (k * a[0], k * a[1])
 
 
-def vdot(a: Vec, b: Vec) -> int:
-    return a[0] * b[0] + a[1] * b[1]
-
-
 def cross(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
@@ -86,7 +82,9 @@ def cone_coords(c: Cone2, p: Vec) -> Vec:
     iff α(a) >= α(b) and β(a) >= β(b).  This is the one definition of α and
     β that every divisibility test reads; the division kernel
     ``groebner._reduce`` and the scan of ``groebner.interreduce`` inline
-    these two cross products, per term.
+    these two cross products, per term, as ``cone_from_inequalities`` inlines
+    its cross products per normal and ``fan.cone_of_basis`` its differences
+    mark - e per term.
     """
     (x1, y1), (x2, y2) = c.ray1, c.ray2
     return p[0] * y2 - p[1] * x2, x1 * p[1] - y1 * p[0]
@@ -195,18 +193,21 @@ def cone_from_inequalities(normals: Iterable[Vec], support: Cone2) -> Cone2:
     That is the dual of the cone spanned by the normals and the rays of
     dual_cone(support), widened in one pass: a normal clockwise of lo
     replaces lo, one counter-clockwise of hi replaces hi.  Raises
-    ValueError once the span reaches a half-plane.
+    ValueError once the span reaches a half-plane, which only a move of lo
+    or hi can make it do.
     """
     dual = dual_cone(support)
-    lo, hi = dual.ray1, dual.ray2
-    for n in normals:
-        if cross(n, lo) > 0:
-            lo = n
-        elif cross(hi, n) > 0:
-            hi = n
-        if cross(lo, hi) <= 0:
+    (l0, l1), (h0, h1) = dual.ray1, dual.ray2
+    for n0, n1 in normals:
+        if n0 * l1 - n1 * l0 > 0:
+            l0, l1 = n0, n1
+        elif h0 * n1 - h1 * n0 > 0:
+            h0, h1 = n0, n1
+        else:
+            continue
+        if l0 * h1 - l1 * h0 <= 0:
             raise ValueError(f"feasible region inside {support} is not 2-dimensional")
-    return dual_cone(Cone2(lo, hi))
+    return dual_cone(Cone2((l0, l1), (h0, h1)))
 
 
 @dataclass(frozen=True)

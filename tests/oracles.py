@@ -1,11 +1,12 @@
 """Reference computations that the tests compare the engine against.
 
-Nothing under ``src/nashfan`` calls these: divisibility of monomials
-(``divides``), bounded enumeration of semigroup members, minimal common
-multiples by a scan of a box, random members of a semigroup with three
-generators, multiplication by a monomial, S-polynomials at every minimal
-common multiple, the strand shift θ and the pairing ψ with the second
-ray of the cone of GB(J_n), the ℚ[λ] gcd that checks
+Nothing under ``src/nashfan`` calls these: the dot product (``vdot``),
+divisibility of monomials (``divides``), bounded enumeration of
+semigroup members, minimal common multiples by a scan of a box, random
+members of a semigroup with three generators, multiplication by a
+monomial, S-polynomials at every minimal common multiple, the strand
+shift θ and the pairing ψ with the second ray of the cone of GB(J_n),
+the ℚ[λ] gcd that checks
 φ(J_n) = ((λ - 1)^(n+1)), a certificate that a basis is the reduced
 basis of J_n which never calls ``buchberger``, the check that a list of
 cones tiles a support cone in angular order, an inter-reduction that
@@ -33,7 +34,6 @@ from nashfan.lattice import (
     contains,
     min_common_multiples,
     vadd,
-    vdot,
     vsub,
 )
 from nashfan.nash import a3_semigroup, jn_generators, l_vector, phi_specialize
@@ -41,6 +41,11 @@ from nashfan.nash import a3_semigroup, jn_generators, l_vector, phi_specialize
 
 class InvalidWeight(ValueError):
     """Weight vector does not bound the enumeration region."""
+
+
+def vdot(a, b) -> int:
+    """The dot product of two vectors."""
+    return a[0] * b[0] + a[1] * b[1]
 
 
 def divides(sg: AffineSemigroup, b, a) -> bool:

@@ -12,10 +12,10 @@ from nashfan.algebra import (
     leading_monomial,
 )
 from nashfan.fan import groebner_fan, sweep_start
-from nashfan.lattice import AffineSemigroup, Cone2, vdot, vscale, vsub
+from nashfan.lattice import AffineSemigroup, Cone2, vscale, vsub
 from nashfan.nash import jn_basis_at
 
-from oracles import divides, random_member, shift, typed_terms
+from oracles import divides, random_member, shift, typed_terms, vdot
 
 
 def random_poly(sg, rng, nterms=4):
@@ -260,6 +260,24 @@ def test_initial_form_is_multiplicative(a3):
         f, g = random_poly(sg, rng), random_poly(sg, rng)
         w = rng.choice(weights)
         assert initial_form(w, f * g) == initial_form(w, f) * initial_form(w, g)
+
+
+def test_initial_form_keeps_the_terms_of_f(a3):
+    """in_w(f) is f's terms of maximal w-weight, in f's order, with f's own
+    coefficient objects: a Poly stores an integral value as an int, so
+    these need no demotion and no copy."""
+    sg, _ = a3
+    rng = random.Random(61)
+    weights = [(2, -1), (1, 0), (2, 0), (4, -3), (0, 1), (3, -2)]
+    for _ in range(200):
+        f = random_poly(sg, rng) * rng.choice((1, 2, 6))
+        if f.is_zero:
+            continue
+        w = rng.choice(weights)
+        top = max(vdot(w, e) for e in f.terms)
+        got = initial_form(w, f)
+        assert typed_terms(got) == [t for t in typed_terms(f) if vdot(w, t[0]) == top]
+        assert all(c is f.terms[e] for e, c in got.terms.items())
 
 
 def test_refined_leading_monomial_identity(a3):

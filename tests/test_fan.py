@@ -10,10 +10,10 @@ import nashfan.fan as fan_module
 from nashfan.algebra import MatrixOrdering, Poly, initial_form, leading_monomial
 from nashfan.fan import GroebnerCone, cone_of_basis, fan_to_json, groebner_fan, sweep_start
 from nashfan.groebner import Ideal, MarkedBasis, buchberger, normal_form, standard_monomials
-from nashfan.lattice import AffineSemigroup, Cone2, multiplicity, vadd, vdot, vsub
+from nashfan.lattice import AffineSemigroup, Cone2, multiplicity, vadd, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, l_vector
 
-from oracles import certified, cyclic_cones, standard_set, validate_fan
+from oracles import certified, cyclic_cones, standard_set, validate_fan, vdot
 
 GOLDEN_7_3 = Path(__file__).parent / "golden" / "cone_0_1_7_-3_fan_n2.json"
 

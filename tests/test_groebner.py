@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from nashfan.groebner import (
     standard_monomials,
 )
 from nashfan.lattice import AffineSemigroup, Cone2, contains, points_below, vadd, vsub
-from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators
+from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, nash_fan
 
 from oracles import (
     certified,
@@ -255,6 +256,63 @@ def test_reduce_emits_terms_in_decreasing_order():
                     assert list(r.terms) == sorted(r.terms, key=ord.key, reverse=True), (c, ord)
                     checked += 1
     assert checked > 500
+
+
+def test_reduce_stores_coefficients_as_a_poly_does():
+    """_reduce writes its result's dict itself, so it must store what a
+    Poly stores: no zero coefficient, and an integral value as an int,
+    never as a Fraction.  f = q g + r for a row g and random q, r, so that
+    steps cancel terms; by monic rows, whose tails hold Fractions that
+    multiply Fraction coefficients of f into integral ones, and by
+    non-monic integer rows, under the kernel orderings."""
+    rng = random.Random(173)
+    integral = fractional = 0
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup(c)
+        for ord in kernel_orderings(sg):
+            monic = monic_products(sg, ord, 2)
+            non_monic = [
+                (g + (rng.choice((2, 3, -2)) - 1) * Poly.monomial(sg, m), m) for g, m in monic
+            ]
+            for pairs in (monic, non_monic):
+                table = groebner.divisor_table(pairs, ord)
+                for _ in range(12):
+                    g, _ = rng.choice(pairs)
+                    f = random_kernel_poly(sg, rng) * g + random_kernel_poly(sg, rng)
+                    if pairs is non_monic:
+                        f = f * math.lcm(*[v.denominator for v in f.terms.values()])
+                    r = groebner._reduce(f, table, ord)
+                    for e, v, t in typed_terms(r):
+                        assert v != 0, (c, ord, e)
+                        assert t is int or v.denominator != 1, (c, ord, e, v)
+                        integral += t is int
+                        fractional += t is Fraction
+    assert integral > 500 and fractional > 500
+
+
+def test_reduce_holds_only_its_pending_records(monkeypatch):
+    """A record taken from the heap leaves the kernel's dict.  On
+    cone((0,1),(10001,−10000)) at n = 1 two _reduce calls each take about
+    10^4 steps by the row (uv − 1)^2 with at most 3 terms pending; each
+    call's tracemalloc peak stays under 256 KB, where one record kept per
+    step took about 3 MB."""
+    real = groebner._reduce
+    peaks = []
+
+    def traced(f, table, ord):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        r = real(f, table, ord)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce", traced)
+    tracemalloc.start()
+    try:
+        nash_fan(Cone2((0, 1), (10001, -10000)), 1)
+    finally:
+        tracemalloc.stop()
+    assert peaks and max(peaks) < 256 * 1024, max(peaks)
 
 
 def test_reduce_appends_the_terms_below_the_smallest_mark():

@@ -22,7 +22,6 @@ from nashfan.lattice import (
     primitive,
     rot_ccw,
     vadd,
-    vdot,
     vscale,
     vsub,
 )
@@ -35,6 +34,7 @@ from oracles import (
     mcm_oracle,
     random_member,
     validate_fan,
+    vdot,
 )
 
 SIGMA = Cone2((0, 1), (4, -3))

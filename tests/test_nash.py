@@ -18,7 +18,6 @@ from nashfan.lattice import (
     multiplicity,
     primitive,
     vadd,
-    vdot,
     vsub,
 )
 from nashfan.nash import (
@@ -43,6 +42,7 @@ from oracles import (
     psi,
     theta,
     validate_fan,
+    vdot,
 )
 
 N_RANGE = range(1, 13)
