@@ -345,13 +345,22 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
 
     The working basis is fraction-free: every element, generators included,
     is stored as a primitive integer polynomial (coprime coefficients) with
-    positive lc, never divided by its lc.  The S-polynomial of (i, j, m) is
-    (lj/k) x^(m - mi) gi - (li/k) x^(m - mj) gj with k = gcd(li, lj), and
-    ``_reduce`` pseudo-divides, so both are nonzero multiples of their monic
-    counterparts.  Its ``divisor_table`` grows by bisect insertion, found
-    in a parallel list of the rows' mark keys.  Only
-    the final pass (``interreduce``) divides each kept element by its lc,
-    which may leave Fractions.
+    positive lc, never divided by its lc.  ``_reduce`` pseudo-divides, so
+    each remainder is a nonzero multiple of its monic counterpart.  The
+    pair (i, j, m) is reduced raw, as x^(m - mi) gi - x^(m - mj) gj, with
+    no scaling of the lcs li, lj to match.  When li = lj this is the
+    S-polynomial.  Otherwise the term at m survives with coefficient
+    li - lj, and ``_reduce`` takes it first, with the row r of smallest
+    mark that divides m.  If r is i or j, what remains is a multiple of
+    the S-polynomial, whose remainder is the same multiple of its own.
+    Otherwise mr divides m, so by Buchberger's chain criterion (EUROSAM
+    1979) the pairs (i, r) and (r, j), at minimal common multiples that
+    divide m, cover (i, j), and the run reduces them too; induction on m,
+    then on the mark of r, ends every such chain.  With a colength, the
+    stop certifies the basis anyway.  The ``divisor_table`` grows by
+    bisect insertion, found in a parallel list of the rows' mark keys.
+    Only the final pass (``interreduce``) divides each kept element by its
+    lc, which may leave Fractions.
     """
     sg = ord.sg
     basis = []
@@ -412,10 +421,6 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
             raise RuntimeError(f"more than {MAX_REDUCTIONS} S-pair reductions")
         reductions += 1
         (gi, mi), (gj, mj) = basis[i], basis[j]
-        li, lj = gi.terms[mi], gj.terms[mj]
-        if li != lj:
-            k = math.gcd(li, lj)
-            gi, gj = gi * (lj // k), gj * (li // k)
         stopped = insert(gi.shift_sub(vsub(m, mi), gj, vsub(m, mj)))
 
     return interreduce(basis, ord)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .algebra import MatrixOrdering, Poly
 from .fan import cone_of_basis, groebner_fan, sweep_start
 from .groebner import Ideal, buchberger, normal_form, standard_monomials
-from .lattice import AffineSemigroup, Cone2, Vec, multiplicity, vadd, vscale, vsub
+from .lattice import AffineSemigroup, Cone2, Vec, multiplicity, vadd, vscale
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +106,18 @@ class PnFamily:
 
 
 def pn_family(n: int) -> PnFamily:
+    """P_n: p = (⌊(n+3)/2⌋, 0), q_i = (n+1-i, n-2i) for i < ⌈n/2⌉,
+    r_j = (n+1+j, n+1+2j) for j <= ⌊n/2⌋ and s = (⌊n/2⌋+1)(3,4).
+
+    These equal the paper's separate odd and even cases, which the tests
+    keep as an oracle.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    if n % 2 == 1:
-        p = ((n + 3) // 2, 0)
-        q0 = vadd(((n + 3) // 2, 1), vscale((n - 1) // 2, (1, 2)))
-        q = tuple(vsub(q0, vscale(i, (1, 2))) for i in range((n - 1) // 2 + 1))
-        r0 = vadd(q0, (0, 1))
-        r = tuple(vadd(r0, vscale(j, (1, 2))) for j in range((n - 1) // 2 + 1))
-        s = vscale((n + 1) // 2, (3, 4))
-    else:
-        p = ((n + 2) // 2, 0)
-        q0 = vadd(((n + 2) // 2, 0), vscale(n // 2, (1, 2)))
-        q = tuple(vsub(q0, vscale(i, (1, 2))) for i in range((n - 2) // 2 + 1))
-        r0 = vadd(q0, (0, 1))
-        r = tuple(vadd(r0, vscale(j, (1, 2))) for j in range(n // 2 + 1))
-        s = vscale((n + 2) // 2, (3, 4))
-    return PnFamily(n, p, q, r, s)
+    h = n // 2
+    q = tuple((n + 1 - i, n - 2 * i) for i in range(n - h))
+    r = tuple((n + 1 + j, n + 1 + 2 * j) for j in range(h + 1))
+    return PnFamily(n, ((n + 3) // 2, 0), q, r, vscale(h + 1, (3, 4)))
 
 
 # the standard monomials of J_1, where the recursion D_n = D_(n-1) | (P_(n-1) - P_n) starts
@@ -144,10 +139,11 @@ def phi_linear(a: Vec) -> int:
 
 
 def l_vector(n: int) -> Vec:
-    """Primitive generator of the second ray of the cone of GB(J_n)."""
-    if n % 2 == 1:
-        return (2 * n - 2, -n + 2)
-    return (2 * n, -n + 1)
+    """Primitive generator of the second ray of the cone of GB(J_n):
+    l_n = (4⌊n/2⌋, 1 - 2⌊n/2⌋), which equals the paper's (2n - 2, 2 - n)
+    for odd n and (2n, 1 - n) for even n."""
+    h = n // 2
+    return (4 * h, 1 - 2 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -232,17 +232,17 @@ def standard_set(basis):
     }
 
 
-def reduced(basis, std) -> bool:
+def reduced(basis) -> bool:
     """Whether each element is monic at its mark, the mark is its top term
-    under the rows of the ordering, no other mark divides the mark (``in_dual``)
-    and every other term lies in std, the standard set of the marks."""
+    under the rows of the ordering, and no mark divides another mark or
+    another term of the element (``in_dual``)."""
     sg, rows = basis.sg, basis.ordering.rows
     marks = [m for _, m in basis.elements]
     return all(
         g.terms.get(m, 0) == 1
         and max(g.terms, key=lambda e: tuple(vdot(r, e) for r in rows)) == m
         and sum(in_dual(sg, vsub(m, m2)) for m2 in marks) == 1  # only m itself
-        and all(e in std for e in g.terms if e != m)
+        and not any(in_dual(sg, vsub(e, m2)) for e in g.terms if e != m for m2 in marks)
         for g, m in basis.elements
     )
 
@@ -261,7 +261,7 @@ def certified(basis, n: int) -> bool:
     return (
         std is not None
         and len(std) == (n + 1) * (n + 2) // 2
-        and reduced(basis, std)
+        and reduced(basis)
         and all(in_jn(g, n) for g, _ in basis.elements)
     )
 

@@ -9,6 +9,7 @@ import nashfan.cli
 import nashfan.fan
 import nashfan.nash
 from nashfan import groebner
+from nashfan.algebra import Poly
 from nashfan.cli import main
 from nashfan.fan import GroebnerCone
 from nashfan.groebner import MarkedBasis
@@ -204,6 +205,37 @@ def test_verify_reports_a_failing_claim(monkeypatch):
         else:
             assert c["pass"] is True and c["witness"] == "", c
     assert [c["n"] for c in data["claims"] if c["claim_id"] == "c"] == [1, 2, 3]
+
+
+def test_verify_reports_a_missing_witness_at_either_parity(monkeypatch):
+    """Claim e looks for the second-ray witness where the parity of n puts
+    it.  At n = 3 the element marked q_1 = (3,1) of P_3 holds r_1 = (4,5)
+    of P_2; at n = 4 the element marked p = (3,0) of P_4 holds s = (6,8)
+    of P_3.  A tower whose basis misses that term at those two n fails
+    claim e there and nowhere else, and verify exits 1."""
+    witnesses = {3: ((3, 1), (4, 5)), 4: ((3, 0), (6, 8))}
+    tower = nashfan.nash.jn_bases
+
+    def dropping(sg, ord):
+        for n, basis in enumerate(tower(sg, ord), 1):
+            if n in witnesses:
+                mark, term = witnesses[n]
+                elements = []
+                for g, m in basis.elements:
+                    if m == mark:
+                        assert term in g.terms, n
+                        g = Poly(sg, {e: c for e, c in g.terms.items() if e != term})
+                    elements.append((g, m))
+                basis = MarkedBasis(tuple(elements), basis.ordering)
+            yield basis
+
+    monkeypatch.setattr(nashfan.nash, "jn_bases", dropping)
+    result = run("verify", "--n-max", "5", "--format", "json")
+    assert result.exit_code == 1
+    failed = [c for c in json.loads(result.output)["claims"] if c["claim_id"] == "e" and not c["pass"]]
+    assert [(c["n"], c["witness"]) for c in failed] == [
+        (n, f"element marked {mark} misses {term}") for n, (mark, term) in witnesses.items()
+    ]
 
 
 def test_figures_marker_counts(tmp_path):

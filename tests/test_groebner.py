@@ -21,7 +21,7 @@ from nashfan.groebner import (
     normal_form,
     standard_monomials,
 )
-from nashfan.lattice import AffineSemigroup, Cone2, contains, points_below, vadd, vsub
+from nashfan.lattice import AffineSemigroup, Cone2, contains, points_below, vadd, vscale, vsub
 from nashfan.nash import a3_semigroup, jn_basis_at, jn_generators, nash_fan
 
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     in_dual,
     in_jn,
     primitive,
+    reduced,
     s_polynomials,
     shift,
     standard_set,
@@ -165,9 +166,9 @@ def test_kernel_divisibility_agrees_with_divides():
             for q in box:
                 (mark,) = mono[q].terms
                 table = groebner.divisor_table([(mono[q], mark)], ord)
-                reduced = groebner._reduce(mono[p], table, ord).is_zero
-                assert reduced == divides(sg, q, p), (c, p, q)
-                assert reduced == in_dual(sg, vsub(p, q)), (c, p, q)
+                zero = groebner._reduce(mono[p], table, ord).is_zero
+                assert zero == divides(sg, q, p), (c, p, q)
+                assert zero == in_dual(sg, vsub(p, q)), (c, p, q)
 
 
 def monic_products(sg, ord, n):
@@ -371,6 +372,64 @@ def test_reduce_skips_a_cancelled_term_without_dividing_it():
         table = [(*row[:3], CountingTail(row[3]), row[4]) for row in groebner.divisor_table(pairs, ord)]
         assert groebner._reduce(f, table, ord) == reference_reduce(f, pairs, ord) == Poly.zero(sg)
         assert {row[4]: row[3].reads for row in table} == {(3, 0): 1, (0, 1): 0}, k
+
+
+def test_reduce_pops_no_record_past_the_first_below_the_smallest_mark(monkeypatch):
+    """No mark divides a monomial below the smallest one, so the first
+    such term _reduce takes, kept or cancelled, ends its loop, and the
+    pending records are appended without a heap pop.  The remainder does
+    not show this stop, so the heap does: each call pops at most one record
+    below its smallest mark, counted by wrapping groebner's heappush and
+    heappop.  The queries are f = q g and f = q g + r, g an element of the
+    reduced basis of J_2 under the kernel orderings, divided by that basis
+    and by integral multiples of its elements.  The stop saves pops in many
+    calls, which push two or more records below the smallest mark; in many
+    of those, steps cancel the first one popped there."""
+    rng = random.Random(331)
+    queries = []
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup(c)
+        for ord in kernel_orderings(sg):
+            monic = jn_basis_at(sg, ord, 2).elements
+            integral = [
+                (g * (rng.randint(1, 3) * math.lcm(*[Fraction(v).denominator for v in g.terms.values()])), m)
+                for g, m in monic
+            ]
+            for pairs in (monic, integral):
+                table = groebner.divisor_table(pairs, ord)
+                for _ in range(12):
+                    q, r = (random_kernel_poly(sg, rng) for _ in range(2))
+                    f = q * rng.choice(pairs)[0] + rng.choice((Poly.zero(sg), r))
+                    queries.append((ord, table, f * math.lcm(*[Fraction(v).denominator for v in f.terms.values()])))
+
+    push, pop = groebner.heappush, groebner.heappop
+
+    def pushing(heap, rec):
+        nonlocal pushed
+        pushed += ord.key(rec[2]) < floor
+        push(heap, rec)
+
+    def popping(heap):
+        nonlocal popped, first_cancelled
+        rec = pop(heap)
+        if ord.key(rec[2]) < floor:
+            if not popped:
+                first_cancelled = not rec[3]
+            popped += 1
+        return rec
+
+    monkeypatch.setattr(groebner, "heappush", pushing)
+    monkeypatch.setattr(groebner, "heappop", popping)
+    saved = cancelled = 0
+    for ord, table, f in queries:
+        floor = ord.key(table[0][4])
+        pushed = popped = 0
+        first_cancelled = False
+        groebner._reduce(f, table, ord)
+        assert popped <= 1, (ord, table[0][4], pushed, popped)
+        saved += pushed >= 2
+        cancelled += pushed >= 2 and first_cancelled
+    assert saved > 250 and cancelled > 45, (saved, cancelled)
 
 
 def test_reduce_and_normal_form_leave_their_inputs_unchanged(a3, jn_basis):
@@ -824,6 +883,76 @@ def test_buchberger_criterion_on_every_fan_cone():
         sg = AffineSemigroup(c)
         for gc in groebner_fan(jn_basis_at(sg, sweep_start(sg), 2)):
             assert_s_polynomials_reduce_to_zero(gc.basis)
+
+
+def random_binomial_ideal(sg, rng):
+    """Three binomials c x^a - d x^b, a != b small semigroup members, with
+    random coefficients, so that their leading coefficients differ."""
+    k = 2 if len(sg.generators) <= 3 else 1
+
+    def member():
+        e = (0, 0)
+        for g in sg.generators:
+            e = vadd(e, vscale(rng.randint(0, k), g))
+        return e
+
+    gens = []
+    while len(gens) < 3:
+        a, b = member(), member()
+        if a != b:
+            gens.append(Poly(sg, {a: rng.randint(1, 5), b: rng.choice((-5, -4, -3, -2, -1, 1, 2, 3))}))
+    return Ideal(tuple(gens))
+
+
+def test_raw_s_step_gives_the_reduced_basis(monkeypatch):
+    """buchberger reduces x^(m - mi) gi - x^(m - mj) gj without matching
+    the leading coefficients li, lj.  With no colength to stop it, on
+    random binomial ideals over several semigroups and orderings, each
+    result passes Buchberger's criterion by the reference division, is
+    reduced, and reduces every generator to zero.  The hard case occurs
+    often: li != lj, so the term at m survives with coefficient li - lj,
+    and the row of smallest mark dividing m, which takes the first step
+    at m, is neither i nor j."""
+    shift_sub, reduce = Poly.shift_sub, groebner._reduce
+    pending = []
+    third = 0
+
+    def recording_shift_sub(g, a, h, b):
+        f = shift_sub(g, a, h, b)
+        pending.append((g, a, h, f))
+        return f
+
+    def checking(f, table, ord):
+        nonlocal third
+        # only buchberger's S-step calls shift_sub here, right before it
+        # reduces the result
+        if pending:
+            gi, a, gj, s = pending.pop()
+            assert s is f
+            mi, mj = next(iter(gi.terms)), next(iter(gj.terms))
+            m = vadd(mi, a)
+            if gi.terms[mi] != gj.terms[mj]:
+                assert f.terms[m] == gi.terms[mi] - gj.terms[mj]
+                first = min((row[4] for row in table if divides(ord.sg, row[4], m)), key=ord.key)
+                third += first not in (mi, mj)
+        return reduce(f, table, ord)
+
+    monkeypatch.setattr(Poly, "shift_sub", recording_shift_sub)
+    monkeypatch.setattr(groebner, "_reduce", checking)
+    rng = random.Random(307)
+    runs = []
+    for c in cyclic_cones(5) + [a3_semigroup().support_cone, Cone2((1, 0), (1, 2)), Cone2((2, 1), (-1, 3))]:
+        sg = AffineSemigroup(c)
+        for ord in kernel_orderings(sg):
+            for _ in range(3):
+                ideal = random_binomial_ideal(sg, rng)
+                runs.append((ideal, buchberger(ideal, ord)))
+    monkeypatch.undo()
+    assert third >= 100, third
+    for ideal, basis in runs:
+        assert_s_polynomials_reduce_to_zero(basis)
+        assert reduced(basis)
+        assert all(reference_reduce(g, basis.elements, basis.ordering).is_zero for g in ideal.generators)
 
 
 def test_cap_counts_only_reduced_pairs(a3, monkeypatch):

@@ -18,9 +18,11 @@ from nashfan.lattice import (
     multiplicity,
     primitive,
     vadd,
+    vscale,
     vsub,
 )
 from nashfan.nash import (
+    PnFamily,
     a3_ordering,
     a3_semigroup,
     dn_set,
@@ -85,6 +87,33 @@ def test_pn_family_n1():
     assert fam.points() == {(2, 0), (2, 1), (2, 2), (3, 4)}
     with pytest.raises(ValueError, match="n must be positive"):
         pn_family(0)
+
+
+def paper_pn_family(n: int) -> PnFamily:
+    """P_n as the paper states it, in separate cases for odd and even n."""
+    if n % 2 == 1:
+        p = ((n + 3) // 2, 0)
+        q0 = vadd(((n + 3) // 2, 1), vscale((n - 1) // 2, (1, 2)))
+        q = tuple(vsub(q0, vscale(i, (1, 2))) for i in range((n - 1) // 2 + 1))
+        r0 = vadd(q0, (0, 1))
+        r = tuple(vadd(r0, vscale(j, (1, 2))) for j in range((n - 1) // 2 + 1))
+        s = vscale((n + 1) // 2, (3, 4))
+    else:
+        p = ((n + 2) // 2, 0)
+        q0 = vadd(((n + 2) // 2, 0), vscale(n // 2, (1, 2)))
+        q = tuple(vsub(q0, vscale(i, (1, 2))) for i in range((n - 2) // 2 + 1))
+        r0 = vadd(q0, (0, 1))
+        r = tuple(vadd(r0, vscale(j, (1, 2))) for j in range(n // 2 + 1))
+        s = vscale((n + 2) // 2, (3, 4))
+    return PnFamily(n, p, q, r, s)
+
+
+def test_families_equal_the_papers_parity_cases():
+    """pn_family and l_vector each use one formula for every n; the paper
+    states P_n and l_n in separate cases for odd and even n."""
+    for n in range(1, 301):
+        assert pn_family(n) == paper_pn_family(n), n
+        assert l_vector(n) == ((2 * n - 2, 2 - n) if n % 2 else (2 * n, 1 - n)), n
 
 
 def test_pn_family_size_and_incomparability():
