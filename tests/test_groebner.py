@@ -432,21 +432,26 @@ def test_reduce_pops_no_record_past_the_first_below_the_smallest_mark(monkeypatc
     assert saved > 250 and cancelled > 45, (saved, cancelled)
 
 
+def a3_multiplier_monomial(rng):
+    """A monomial a*u + b*u^3v^4 + c*uv of A3 with a, b, c in 0..2, as in the
+    multipliers h_i of the benchmark's a3_normal_form queries."""
+    a, b, c = (rng.randrange(3) for _ in range(3))
+    return (a + 3 * b + c, 4 * b + c)
+
+
 def test_reduce_and_normal_form_leave_their_inputs_unchanged(a3, jn_basis):
     """The kernel's records are its own: f's terms (the same coefficient
     objects, in the same order) and every divisor row, tail included, are
     as before the call.  On queries shaped like the benchmark's
     a3_normal_form ones, f = h_1 g_1 + h_2 g_2 + h_3 g_3 + r over GB(J_4),
     by normal_form and by _reduce, and on integral f by the same rows with
-    their lc replaced by l != 1."""
+    their lc replaced by l != 1.  normal_form's cached table is
+    divisor_table's row 0, then its other rows stably sorted by tail
+    length."""
     sg, ord = a3
     basis = jn_basis(4)
     std = sorted(standard_monomials(basis))
     rng = random.Random(151)
-
-    def monomial():
-        a, b, c = (rng.randrange(3) for _ in range(3))
-        return (a + 3 * b + c, 4 * b + c)
 
     non_monic = [
         (g + (rng.choice((2, 3, -2)) - 1) * Poly.monomial(sg, m), m) for g, m in basis.elements
@@ -457,7 +462,8 @@ def test_reduce_and_normal_form_leave_their_inputs_unchanged(a3, jn_basis):
             r = Poly(sg, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in rng.sample(std, 4)})
         f = r
         for g, _ in rng.sample(basis.elements, 3):
-            f = f + Poly(sg, {monomial(): rng.randint(-5, 5), monomial(): rng.randint(-5, 5)}) * g
+            h = {a3_multiplier_monomial(rng): rng.randint(-5, 5), a3_multiplier_monomial(rng): rng.randint(-5, 5)}
+            f = f + Poly(sg, h) * g
         for pairs in (basis.elements, non_monic):
             if pairs is non_monic:
                 f = f * math.lcm(*[v.denominator for v in f.terms.values()])
@@ -467,10 +473,51 @@ def test_reduce_and_normal_form_leave_their_inputs_unchanged(a3, jn_basis):
             got = groebner._reduce(f, table, ord)
             if pairs is basis.elements:
                 assert got == r == normal_form(f, basis), q
-                assert groebner._last_table[1] == groebner.divisor_table(basis.elements, ord), q
+                fresh = groebner.divisor_table(basis.elements, ord)
+                assert groebner._last_table[1] == fresh[:1] + sorted(fresh[1:], key=lambda row: len(row[3])), q
             assert list(f.terms.items()) == list(terms.items()), q
             assert all(f.terms[e] is c for e, c in terms.items()), q
             assert table == rows, q
+
+
+def test_normal_form_reads_fewer_tail_terms_than_mark_order(a3, jn_basis, monkeypatch):
+    """normal_form divides by the row of smallest mark first and then by
+    the others in increasing tail length, for fewer tail updates than in
+    divisor_table's mark order.  By a reduced basis the remainder does not
+    show this, so CountingTail on every row does: on queries shaped like
+    the benchmark's a3_normal_form ones, f = h_1 g_1 + h_2 g_2 + h_3 g_3 + r
+    over GB(J_5), each remainder equals the reference division and the
+    mark-order division's, and the steps read fewer tail terms."""
+    sg, ord = a3
+    basis = jn_basis(5)
+    std = sorted(standard_monomials(basis))
+    rng = random.Random(173)
+
+    def coeff():
+        return rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+
+    def counted(table):
+        return [(*row[:3], CountingTail(row[3]), row[4]) for row in table]
+
+    def tail_terms_read(table):
+        return sum(row[3].reads * len(row[3]) for row in table)
+
+    queries = []
+    for q in range(40):
+        f = Poly(sg, {e: coeff() for e in rng.sample(std, 4)}) if q % 2 else Poly.zero(sg)
+        for g, _ in rng.sample(basis.elements, 3):
+            h = {a3_multiplier_monomial(rng): coeff(), a3_multiplier_monomial(rng): coeff()}
+            f = f + Poly(sg, h) * g
+        queries.append(f)
+    normal_form(queries[0], basis)
+    cached = counted(groebner._last_table[1])
+    by_mark = counted(groebner.divisor_table(basis.elements, ord))
+    monkeypatch.setattr(groebner, "_last_table", (basis, cached))
+    for f in queries:
+        r = normal_form(f, basis)
+        assert r == groebner._reduce(f, by_mark, ord) == reference_reduce(f, basis.elements, ord)
+    assert groebner._last_table[1] is cached
+    assert tail_terms_read(cached) < tail_terms_read(by_mark), (tail_terms_read(cached), tail_terms_read(by_mark))
 
 
 def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
@@ -669,6 +716,31 @@ def test_normal_form_matches_reference_division():
             for _ in range(12):
                 f = random_kernel_poly(sg, rng)
                 assert normal_form(f, basis) == reference_reduce(f, basis.elements, ord), (c, ord)
+
+
+def test_normal_form_builds_one_table_per_basis(a3, jn_basis, monkeypatch):
+    """normal_form builds a basis's divisor table once for repeated calls
+    on it, and once again at each switch to another basis: the
+    divisor_table calls, counted through groebner's module name, follow
+    the switches exactly."""
+    sg, _ = a3
+    built = []
+    table = groebner.divisor_table
+
+    def counting(pairs, ord):
+        built.append(pairs)
+        return table(pairs, ord)
+
+    monkeypatch.setattr(groebner, "divisor_table", counting)
+    monkeypatch.setattr(groebner, "_last_table", (None, None))
+    b2, b3 = jn_basis(2), jn_basis(3)
+    f = Poly.monomial(sg, (4, 4)) - Poly.monomial(sg, (1, 0))
+    for _ in range(5):
+        normal_form(f, b2)
+    assert built == [b2.elements]
+    for basis in (b3, b2, b3, b3, b2):
+        normal_form(f, basis)
+    assert built == [b2.elements, b3.elements, b2.elements, b3.elements, b2.elements]
 
 
 def test_ideal_rejects_bad_generators(a3):
@@ -1133,6 +1205,44 @@ def test_colength_stop_fires_at_the_first_exact_count(a3, monkeypatch):
         assert counts.index(colength) == len(counts) - 1, (ord, colength, counts)
         past_inserts += len(rs) > len(ideal.generators)
     assert len(runs) == 382 and past_inserts > 0
+
+
+def test_buchberger_walks_the_staircase_once_per_finite_run(a3, monkeypatch):
+    """buchberger calls lattice.coords_below, counted through groebner's
+    module name, never in a run without a colength, and exactly once in a
+    run with one: at its first finite standard set, after which each
+    insert drops the points its mark divides.  The runs with a colength
+    are the steps of the A3 tower to n = 6 and of the sweeps of the cyclic
+    cones with d <= 7 at n = 2: a tower step reaches its first finite set
+    only at its stop, but some flips insert more elements after it, so a
+    walk repeated per insert shows there.  The runs without are full runs
+    on J_2's product generators."""
+    calls, runs = [], []
+    walk = groebner.coords_below
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    def recording_run(ideal, ord):
+        calls.clear()
+        basis = buchberger(ideal, ord)
+        runs.append((ideal.colength, len(calls)))
+        return basis
+
+    monkeypatch.setattr(groebner, "coords_below", counting)
+    monkeypatch.setattr(nash_module, "buchberger", recording_run)
+    monkeypatch.setattr(fan_module, "buchberger", recording_run)
+    sg, ordering = a3
+    list(itertools.islice(nash_module.jn_bases(sg, ordering), 6))
+    for c in cyclic_cones(7):
+        csg = AffineSemigroup(c)
+        groebner_fan(jn_basis_at(csg, sweep_start(csg), 2))
+    assert len(runs) > 20 and all(colength and walks == 1 for colength, walks in runs), runs
+    for s, ord in ((sg, ordering), (csg, sweep_start(csg))):
+        calls.clear()
+        buchberger(jn_generators(s, 2), ord)
+        assert calls == [], s
 
 
 def test_marks_are_only_hints(a3, jn_basis, monkeypatch):
