@@ -40,19 +40,26 @@ class Poly:
         self.terms = clean
 
     @classmethod
-    def _make(cls, sg, terms):
-        # internal constructor: exponents already known to be members
+    def _of(cls, sg, terms):
+        """The Poly of a clean terms dict, taken as it is: every exponent a
+        member, no zero coefficient, every integral value an int."""
         p = object.__new__(cls)
         p.sg = sg
-        p.terms = {
-            e: c if type(c) is int or c.denominator != 1 else c.numerator
-            for e, c in terms.items() if c
-        }
+        p.terms = terms
         return p
 
     @classmethod
+    def _make(cls, sg, terms):
+        # the cleaning path for exponents already known to be members: drop
+        # zeros and demote integral Fractions, then trust the result
+        return cls._of(sg, {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c
+        })
+
+    @classmethod
     def zero(cls, sg) -> "Poly":
-        return cls._make(sg, {})
+        return cls._of(sg, {})
 
     @classmethod
     def monomial(cls, sg, exp: Vec, coeff=1) -> "Poly":
@@ -77,11 +84,11 @@ class Poly:
         return hash((self.sg, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return Poly._make(self.sg, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.sg, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.monomial(self.sg, (0, 0), other) if other else Poly.zero(self.sg)
+            other = Poly.monomial(self.sg, (0, 0), other)
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -136,10 +143,7 @@ class Poly:
                 out[e] = d if type(d) is int else _demote(d)
             else:
                 del out[e]
-        p = object.__new__(Poly)
-        p.sg = self.sg
-        p.terms = out
-        return p
+        return Poly._of(self.sg, out)
 
     def to_json(self) -> dict:
         items = sorted(self.terms.items())
@@ -206,4 +210,4 @@ def initial_form(w: Vec, f: Poly) -> Poly:
     w0, w1 = w
     weights = [w0 * e0 + w1 * e1 for e0, e1 in f.terms]
     m = max(weights)
-    return Poly._make(f.sg, {e: c for (e, c), d in zip(f.terms.items(), weights) if d == m})
+    return Poly._of(f.sg, {e: c for (e, c), d in zip(f.terms.items(), weights) if d == m})

@@ -189,10 +189,11 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     reducing path tests nothing more.
 
     The remainder's dict is written once, in decreasing order, and becomes
-    the result's: each kept term as it is taken, then the appended ones,
-    but no cancelled record.  A product of Fractions can be integral, so
-    each coefficient written is demoted as ``Poly`` stores it: an integral
-    Fraction as its int numerator.
+    the result's through ``Poly._of``, which copies and checks nothing: each
+    kept term as it is taken, then the appended ones, but no cancelled
+    record.  A product of Fractions can be integral, so each coefficient
+    written is demoted as ``Poly`` stores it: an integral Fraction as its
+    int numerator.
     """
     dual = ord.sg.dual_cone
     (x1, y1), (x2, y2) = dual.ray1, dual.ray2
@@ -268,10 +269,7 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     for _, _, e, c in rest:
         if c:
             out[e] = c if type(c) is int or c.denominator != 1 else c.numerator
-    p = object.__new__(Poly)
-    p.sg = ord.sg
-    p.terms = out
-    return p
+    return Poly._of(ord.sg, out)
 
 
 # the basis normal_form divided by last, and its divisor table
@@ -327,8 +325,8 @@ def _primitive(f: Poly) -> Poly:
     if next(iter(terms.values())) < 0:
         k = -k
     if k == 1:
-        return f if terms is f.terms else Poly._make(f.sg, terms)
-    return Poly._make(f.sg, {e: c // k for e, c in terms.items()})
+        return f if terms is f.terms else Poly._of(f.sg, terms)
+    return Poly._of(f.sg, {e: c // k for e, c in terms.items()})
 
 
 def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
@@ -374,17 +372,23 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     1979) the pairs (i, r) and (r, j), at minimal common multiples that
     divide m, cover (i, j), and the run reduces them too; induction on m,
     then on the mark of r, ends every such chain.  With a colength, the
-    stop certifies the basis anyway.  The ``divisor_table`` grows by
-    bisect insertion, found in a parallel list of the rows' mark keys.
-    Only the final pass (``interreduce``) divides each kept element by its
-    lc, which may leave Fractions.
+    stop certifies the basis anyway.  Each new row goes into the
+    ``divisor_table`` by ``bisect.insort`` on its mark's key, so the table
+    stays in increasing mark order.  Only the final pass (``interreduce``)
+    divides each kept element by its lc, which may leave Fractions.
+
+    Without a colength no pair criterion drops a pair and no working
+    element is ever dropped, so a small input can run for minutes: the
+    ideal of 4x^(3,5) - x^(3,12) + 4x^(1,3) and 4x^(3,8) + 4x^(5,15) -
+    5x^(1,2) over cone((0,1),(5,-1)) under rows ((0,1),(5,0)) took 75 s
+    and 38,698 ``_reduce`` calls to return a basis of two elements, far
+    below ``MAX_REDUCTIONS``.  Every CLI path passes a colength; only
+    direct calls reach this case, such as on the ideal that
+    ``nash.jn_generators`` returns.  ROADMAP item 7 tracks a cap.
     """
     sg = ord.sg
     basis = []
     table = []
-    # ord.key of each row's mark, in table order: bisect compares these
-    # plain tuples rather than calling ord.key at every probe
-    keys = []
     heap = []
     reductions = 0
     # whether a working mark lies on the ray α = 0, on the ray β = 0; once
@@ -400,11 +404,8 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
         g = _primitive(r)
         mr = next(iter(g.terms))
         basis.append((g, mr))
-        key = ord.key(mr)
-        i = bisect.bisect(keys, key)
-        keys.insert(i, key)
         row = _divisor(g, mr, ord)
-        table.insert(i, row)
+        bisect.insort(table, row, key=lambda row: ord.key(row[4]))
         if ideal.colength is None:
             return False
         if std is None:

@@ -47,6 +47,9 @@ def test_integral_coefficients_are_stored_as_int(a3):
     p = Poly(sg, {(1, 1): Fraction(4, 2), (1, 0): True, (0, 0): Fraction(1, 2)})
     assert p.terms == {(1, 1): 2, (1, 0): 1, (0, 0): Fraction(1, 2)}
     assert [type(p.terms[e]) for e in ((1, 1), (1, 0), (0, 0))] == [int, int, Fraction]
+    assert repr(p) == "Poly({(0, 0): Fraction(1, 2), (1, 0): 1, (1, 1): 2})"
+    # negation keeps each term's place and type, and drops none
+    assert typed_terms(-p) == [(e, -c, t) for e, c, t in typed_terms(p)]
     half = Poly.monomial(sg, (1, 0), Fraction(1, 2))
     for q in (half * 2, half + half, half * 3 - half):
         assert q.terms == {(1, 0): 1} and type(q.terms[(1, 0)]) is int
@@ -265,10 +268,12 @@ def test_initial_form_is_multiplicative(a3):
 def test_initial_form_keeps_the_terms_of_f(a3):
     """in_w(f) is f's terms of maximal w-weight, in f's order, with f's own
     coefficient objects: a Poly stores an integral value as an int, so
-    these need no demotion and no copy."""
+    these need no demotion and no copy.  Some of the forms hold
+    non-integral Fractions."""
     sg, _ = a3
     rng = random.Random(61)
     weights = [(2, -1), (1, 0), (2, 0), (4, -3), (0, 1), (3, -2)]
+    fractions = 0
     for _ in range(200):
         f = random_poly(sg, rng) * rng.choice((1, 2, 6))
         if f.is_zero:
@@ -278,6 +283,8 @@ def test_initial_form_keeps_the_terms_of_f(a3):
         got = initial_form(w, f)
         assert typed_terms(got) == [t for t in typed_terms(f) if vdot(w, t[0]) == top]
         assert all(c is f.terms[e] for e, c in got.terms.items())
+        fractions += any(type(c) is Fraction for c in got.terms.values())
+    assert fractions > 0
 
 
 def test_refined_leading_monomial_identity(a3):

@@ -560,9 +560,9 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
 
 def test_primitive_matches_the_fraction_reference(a3):
     """_primitive equals oracles.primitive, term for term in f's order and
-    with int coefficients, on int, Fraction and mixed coefficients, with
-    content above 1 and a negative first term; an already primitive int
-    polynomial comes back as the same object."""
+    with nonzero int coefficients, on int, Fraction and mixed coefficients,
+    with content above 1 and a negative first term; an already primitive
+    int polynomial comes back as the same object."""
     sg, _ = a3
     rng = random.Random(149)
     types_seen, negative, content = set(), 0, 0
@@ -573,7 +573,7 @@ def test_primitive_matches_the_fraction_reference(a3):
         f = f * rng.choice((1, 1, 6, -4, Fraction(3, 2), Fraction(-5, 7)))
         g = groebner._primitive(f)
         assert typed_terms(g) == typed_terms(primitive(f)) and list(g.terms) == list(f.terms)
-        assert all(type(c) is int for c in g.terms.values())
+        assert all(type(c) is int and c for c in g.terms.values())
         if g == f:
             assert g is f
         coeffs = list(f.terms.values())
