@@ -5,12 +5,22 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
 from .algebra import MatrixOrdering, Poly, leading_monomial
-from .lattice import AffineSemigroup, cone_coords, coords_below, min_common_multiples, points_below, vsub
+from .lattice import (
+    AffineSemigroup,
+    cone_coords,
+    contains,
+    coords_below,
+    min_common_multiples,
+    points_below,
+    vadd,
+    vsub,
+)
 
 
 # the S-pairs one ``buchberger`` run may reduce before it raises RuntimeError
@@ -20,16 +30,16 @@ MAX_REDUCTIONS = 10 ** 6
 @dataclass(frozen=True)
 class Ideal:
     """Generators; the colength dim S/I if known, at which ``buchberger``
-    stops; and optionally one mark per generator, its leading monomial when
-    known in advance (as for the products g*(x^a - 1) of ``jn_bases``).
-
-    ``buchberger`` reads a mark only to order reduce-on-insert.  A wrong
-    one may cost speed, never correctness.
+    stops; and optionally ``times``, one tuple of nonzero semigroup members
+    per generator.  With ``times`` the ideal is generated by the products
+    g_i * (x^a - 1) for a in times[i], as the tower of ``nash.jn_bases``
+    hands over J_n; ``buchberger`` reads a product, unbuilt, only when it
+    inserts it, and orders the products by the first term of each g_i.
     """
 
     generators: tuple
     colength: int | None = None
-    marks: tuple | None = None
+    times: tuple | None = None
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -42,11 +52,16 @@ class Ideal:
                 raise ValueError("ideal generators must be nonzero")
             if g.sg != sg:
                 raise ValueError("ideal generators over different semigroups")
-        if self.marks is not None:
-            marks = tuple(self.marks)
-            object.__setattr__(self, "marks", marks)
-            if len(marks) != len(gens):
-                raise ValueError(f"{len(marks)} marks for {len(gens)} generators")
+        if self.times is not None:
+            times = tuple(map(tuple, self.times))
+            object.__setattr__(self, "times", times)
+            if len(times) != len(gens):
+                raise ValueError(f"{len(times)} times for {len(gens)} generators")
+            if not any(times):
+                raise ValueError("ideal needs at least one product")
+            for a in set(itertools.chain.from_iterable(times)):
+                if a == (0, 0) or not contains(sg.dual_cone, a):
+                    raise ValueError(f"time {a} is not a nonzero semigroup member")
 
 
 @dataclass(frozen=True)
@@ -104,19 +119,20 @@ class MarkedBasis:
 
 
 def _divisor(g: Poly, mark, ord: MatrixOrdering) -> tuple:
-    """The row of a divisor table for g marked at mark: (α, β, lc, tail, mark).
+    """The row of a divisor table for g marked at mark: (α, β, lc, tail,
+    mark, key), key the ordering's key of the mark.
 
     Readers unpack a row by these names, except the per-term scan of
     ``_reduce``, which reads α and β by index: in a CPython 3.11
     microbenchmark over 100 rows, unpacking each row made the scan 30%
-    slower.
+    slower.  ``divisor_table`` and ``buchberger`` sort rows on the key.
 
     The tail is a list: tuples of many different small lengths would fill
     CPython's per-length tuple free lists, which only a full garbage
     collection empties, and raised the peak memory of a long run.
     """
     tail = [(u0, u1, c) for (u0, u1), c in g.terms.items() if (u0, u1) != mark]
-    return (*cone_coords(ord.sg.dual_cone, mark), g.terms[mark], tail, mark)
+    return (*cone_coords(ord.sg.dual_cone, mark), g.terms[mark], tail, mark, ord.key(mark))
 
 
 def divisor_table(pairs, ord: MatrixOrdering) -> list:
@@ -124,19 +140,21 @@ def divisor_table(pairs, ord: MatrixOrdering) -> list:
 
     A row holds the mark's cone coordinates α, β of ``lattice.cone_coords``,
     the coefficient lc at the mark, the other terms as (u0, u1, coefficient)
-    triples, and the mark.  The tail keeps exponents rather than offsets
-    from the mark: a step shifts it by one vector either way, and small
-    exponents are cached int objects where negative offsets are not.  The
-    sort is stable, so of equal marks the one given first comes first.
-    ``buchberger`` keeps its table sorted by bisect insertion, and
-    ``interreduce`` by appending in increasing mark order, once it divides.
+    triples, the mark and its key.  The tail keeps exponents rather than
+    offsets from the mark: a step shifts it by one vector either way, and
+    small exponents are cached int objects where negative offsets are not.
+    The sort is stable, so of equal marks the one given first comes first.
+    ``buchberger`` keeps its table sorted by bisect insertion on the key,
+    and ``interreduce`` by appending in increasing mark order, once it
+    divides.
     ``normal_form`` keeps the first row and sorts the others by tail length.
     """
-    return [_divisor(g, m, ord) for g, m in sorted(pairs, key=lambda gm: ord.key(gm[1]))]
+    return sorted((_divisor(g, m, ord) for g, m in pairs), key=operator.itemgetter(5))
 
 
-def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
-    """Division remainder of f by a ``divisor_table``, up to a factor.
+def _reduce(f: Poly, table, ord: MatrixOrdering, a=None, h=None, b=None) -> Poly:
+    """Division remainder of f by a ``divisor_table``, up to a factor; given
+    a, h and b, that of x^a f - x^b h, read from the two term dicts.
 
     The result is a nonzero integer multiple of the remainder on division
     by the monic divisors g / lc(g); it is exactly that remainder when every
@@ -162,17 +180,24 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     Each pending monomial is one record [key0, key1, monomial,
     coefficient], keyed on the ordering's two rows, negated.  A dict from
     monomial to record finds it, and the same record sits in one of two
-    streams that the pass merges: f's records, sorted once, and a heap of
-    the records that steps add (Monagan and Pearce, J. Symb. Comput.
-    2011).  f's own dict is read once and never copied.  A step cancels
-    the reduced term and adds the divisor's tail, shifted by e - mark: one
-    dict lookup per tail term, whose coefficient it changes in place, or
-    one new record, stored and pushed.  A taken term reads its coefficient
-    from its record and needs no lookup.  A record taken from the heap
-    leaves the dict, since every later step adds only terms strictly below
-    it, so a long chain of steps by one row holds only its pending records;
-    f's records stay, as its sorted list holds them to the end anyway.  A
-    record that cancels stays in its stream until it is taken and skipped.
+    streams that the pass merges: the input's records, sorted once, and a
+    heap of the records that steps add (Monagan and Pearce, J. Symb.
+    Comput. 2011).  f's own dict is read once and never copied.  In the
+    difference form the records are f's terms shifted by a, from which h's
+    terms shifted by b are subtracted in place: one dict lookup per term
+    of h, and a new record where it meets none.  So x^a f - x^b h is never
+    built as a ``Poly``, and its terms are walked once.  A record that
+    cancels there leaves the dict before the sort, and a summed
+    coefficient is demoted as ``Poly`` stores it, so that pseudo-division
+    meets an int.  A step cancels the reduced term and adds the divisor's
+    tail, shifted by e - mark: one dict lookup per tail term, whose
+    coefficient it changes in place, or one new record, stored and pushed.
+    A taken term reads its coefficient from its record and needs no
+    lookup.  A record taken from the heap leaves the dict, since every
+    later step adds only terms strictly below it, so a long chain of steps
+    by one row holds only its pending records; the input's records stay,
+    as its sorted list holds them to the end anyway.  A record that a step
+    cancels stays in its stream until it is taken and skipped.
 
     Divisibility is tested on the cone coordinates of ``lattice.cone_coords``,
     computed inline for each term taken, from the exponent cone's rays
@@ -184,9 +209,9 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     A mark divides no monomial below it, and the first row has the
     smallest mark.  So once a term taken at or below that mark is kept or
     skipped as cancelled, no row divides a pending term: the loop stops
-    and appends them in decreasing order.  The rest of f's sorted list is
-    one run, so one sort merges the few heap leftovers into it.  The
-    reducing path tests nothing more.
+    and appends them in decreasing order.  The rest of the input's sorted
+    list is one run, so one sort merges the few heap leftovers into it.
+    The reducing path tests nothing more.
 
     The remainder's dict is written once, in decreasing order, and becomes
     the result's through ``Poly._of``, which copies and checks nothing: each
@@ -202,9 +227,29 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
     # lists compare like tuples, and the two keys differ for distinct
     # monomials, so the sort, the heap and the floor test never compare
     # a monomial or a coefficient
-    terms = {e: [p0 * e[0] + p1 * e[1], q0 * e[0] + q1 * e[1], e, c] for e, c in f.terms.items()}
-    # f's records in decreasing order, walked from i on; the heap holds only
-    # the records that steps add
+    if h is None:
+        terms = {e: [p0 * e[0] + p1 * e[1], q0 * e[0] + q1 * e[1], e, c] for e, c in f.terms.items()}
+    else:
+        a0, a1 = a
+        b0, b1 = b
+        terms = {
+            e: [p0 * e[0] + p1 * e[1], q0 * e[0] + q1 * e[1], e, c]
+            for (u0, u1), c in f.terms.items() for e in ((u0 + a0, u1 + a1),)
+        }
+        for (u0, u1), c in h.terms.items():
+            v0, v1 = u0 + b0, u1 + b1
+            e = (v0, v1)
+            r = terms.get(e)
+            if r is None:
+                terms[e] = [p0 * v0 + p1 * v1, q0 * v0 + q1 * v1, e, -c]
+            else:
+                c = r[3] - c
+                if c:
+                    r[3] = c if type(c) is int or c.denominator != 1 else c.numerator
+                else:
+                    del terms[e]
+    # the input's records in decreasing order, walked from i on; the heap
+    # holds only the records that steps add
     stream = sorted(terms.values())
     n = len(stream)
     i = 0
@@ -241,7 +286,7 @@ def _reduce(f: Poly, table, ord: MatrixOrdering) -> Poly:
             if rec >= floor:
                 break
             continue
-        _, _, lc, tail, (m0, m1) = row
+        _, _, lc, tail, (m0, m1), _ = row
         if lc != 1:
             k = math.gcd(lc, c)
             s = lc // k
@@ -335,13 +380,22 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     Each generator, by increasing leading monomial, then each S-pair
     (i, j, m), m a minimal common multiple of the two marks, is reduced by
     the working basis and its remainder added, marked at the remainder's
-    first term, which ``_reduce`` emits as its leading monomial.  The
-    ideal's ``marks``, when given, stand in for the generators' leading
-    monomials in that order and nowhere else.  Given the ideal's
-    ``colength``, the run stops once the working marks leave exactly that
-    many standard monomials, counted after each addition (Traverso,
-    J. Symb. Comput. 1996): the marks' standard set contains the ideal's,
-    so equal sizes make the working basis a Groebner basis.  A colength
+    first term, which ``_reduce`` emits as its leading monomial.  With the
+    ideal's ``times`` the generators are the products g_i * (x^a - 1), by
+    increasing f_i + a, ties in the order (i, a) of ``times``, where f_i is
+    the first term of g_i.  In a term order x^a lies above 1, so f_i + a is
+    the product's leading monomial when f_i is g_i's, as in every basis
+    that ``buchberger`` returns; the tower of ``nash.jn_bases`` hands those
+    over, and is spared a search of each g_i.  Any other order of the
+    products gives the same basis, at another cost.  Each g_i is made
+    primitive once, which makes its products primitive (Gauss's lemma),
+    and a product is handed to ``_reduce`` in difference form,
+    x^a g_i - g_i, only at its turn: a product after the colength stop is
+    never built.  Given the ideal's ``colength``, the run stops once the
+    working marks leave exactly that many standard monomials, counted
+    after each addition (Traverso, J. Symb. Comput. 1996): the marks'
+    standard set contains the ideal's, so equal sizes make the working
+    basis a Groebner basis.  A colength
     too large could stop early; one too small never stops.  The set is
     infinite exactly while no mark lies on one of the rays of the exponent
     cone (α = 0 or β = 0 of ``lattice.cone_coords``), and the run counts
@@ -362,9 +416,9 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     is stored as a primitive integer polynomial (coprime coefficients) with
     positive lc, never divided by its lc.  ``_reduce`` pseudo-divides, so
     each remainder is a nonzero multiple of its monic counterpart.  The
-    pair (i, j, m) is reduced raw, as x^(m - mi) gi - x^(m - mj) gj, with
-    no scaling of the lcs li, lj to match.  When li = lj this is the
-    S-polynomial.  Otherwise the term at m survives with coefficient
+    pair (i, j, m) is reduced raw, as x^(m - mi) gi - x^(m - mj) gj, which
+    ``_reduce`` reads in difference form from gi and gj, with no scaling
+    of the lcs li, lj to match.  When li = lj this is the S-polynomial.  Otherwise the term at m survives with coefficient
     li - lj, and ``_reduce`` takes it first, with the row r of smallest
     mark that divides m.  If r is i or j, what remains is a multiple of
     the S-polynomial, whose remainder is the same multiple of its own.
@@ -373,7 +427,7 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     divide m, cover (i, j), and the run reduces them too; induction on m,
     then on the mark of r, ends every such chain.  With a colength, the
     stop certifies the basis anyway.  Each new row goes into the
-    ``divisor_table`` by ``bisect.insort`` on its mark's key, so the table
+    ``divisor_table`` by ``bisect.insort`` on its key field, so the table
     stays in increasing mark order.  Only the final pass (``interreduce``)
     divides each kept element by its lc, which may leave Fractions.
 
@@ -395,17 +449,18 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
     # both do, the cone coordinates of the marks' standard monomials
     on_ray = [False, False]
     std = None
+    row_key = operator.itemgetter(5)
 
-    def insert(f) -> bool:
+    def insert(f, *diff) -> bool:
         nonlocal std
-        r = _reduce(f, table, ord)
+        r = _reduce(f, table, ord, *diff)
         if r.is_zero:
             return False
         g = _primitive(r)
         mr = next(iter(g.terms))
         basis.append((g, mr))
         row = _divisor(g, mr, ord)
-        bisect.insort(table, row, key=lambda row: ord.key(row[4]))
+        bisect.insort(table, row, key=row_key)
         if ideal.colength is None:
             return False
         if std is None:
@@ -418,12 +473,18 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
             std = [(a, b) for a, b in std if a < row[0] or b < row[1]]
         return len(std) == ideal.colength
 
-    # reduce-on-insert keeps the working basis small from the start; the
-    # normalization does not read the marks, only the order does
+    # reduce-on-insert keeps the working basis small from the start
     gens = ideal.generators
-    marks = ideal.marks or [leading_monomial(ord, g) for g in gens]
-    order = sorted(range(len(gens)), key=lambda i: ord.key(marks[i]))
-    stopped = any(insert(_primitive(gens[i])) for i in order)
+    if ideal.times is None:
+        lms = [leading_monomial(ord, g) for g in gens]
+        order = sorted(range(len(gens)), key=lambda i: ord.key(lms[i]))
+        stopped = any(insert(_primitive(gens[i])) for i in order)
+    else:
+        gens = [_primitive(g) for g in gens]
+        firsts = [next(iter(g.terms)) for g in gens]
+        order = sorted(((i, a) for i, ts in enumerate(ideal.times) for a in ts),
+                       key=lambda ia: ord.key(vadd(firsts[ia[0]], ia[1])))
+        stopped = any(insert(gens[i], a, gens[i], (0, 0)) for i, a in order)
 
     pushed = 0
     while not stopped:
@@ -439,7 +500,7 @@ def buchberger(ideal: Ideal, ord: MatrixOrdering) -> MarkedBasis:
             raise RuntimeError(f"more than {MAX_REDUCTIONS} S-pair reductions")
         reductions += 1
         (gi, mi), (gj, mj) = basis[i], basis[j]
-        stopped = insert(gi.shift_sub(vsub(m, mi), gj, vsub(m, mj)))
+        stopped = insert(gi, vsub(m, mi), gj, vsub(m, mj))
 
     return interreduce(basis, ord)
 

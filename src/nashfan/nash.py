@@ -1,7 +1,8 @@
-"""The A3 application layer: J_n (the ``jn_bases`` tower, capped at
-``MAX_GENERATORS`` semigroup generators, and the product expansion
-``jn_generators`` that tests and the benchmark compare it with), the
-P_n/D_n families, the Laurent specialization φ, Nash-blowup fans, and
+"""The A3 application layer: J_n (the ``jn_bases`` tower, which hands
+each level to ``buchberger`` as products g * (x^a - 1) left unbuilt,
+capped at ``MAX_GENERATORS`` semigroup generators, and the product
+expansion ``jn_generators`` that tests and the benchmark compare it with),
+the P_n/D_n families, the Laurent specialization φ, Nash-blowup fans, and
 ``verify_paper``, whose report is the dict that ``verify`` prints."""
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import MatrixOrdering, Poly
 from .fan import cone_of_basis, groebner_fan, sweep_start
 from .groebner import Ideal, buchberger, normal_form, standard_monomials
-from .lattice import AffineSemigroup, Cone2, Vec, multiplicity, vadd, vscale
+from .lattice import AffineSemigroup, Cone2, Vec, multiplicity, vscale
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +41,9 @@ def jn_generators(sg: AffineSemigroup, n: int) -> Ideal:
     return Ideal(gens)
 
 
-# the most semigroup generators jn_bases takes: at n = 1 it builds one
-# product per pair of them, about 500,000 at the cap
+# the most semigroup generators jn_bases takes: at n = 1 buchberger queues
+# one product per pair of them, about 500,000 at the cap, and builds only
+# those it inserts
 MAX_GENERATORS = 1000
 
 
@@ -50,11 +52,13 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
 
     J_n = J_(n-1) * I, so the products g * (x^a - 1) of the reduced basis of
     J_(n-1) with the binomials generate J_n; the binomials stand in for
-    GB(J_0) = I, and at n = 1 each b_i * b_j is built for i <= j only.  A
-    product is built in one pass by ``Poly.shift_sub``.  In a term order
-    its leading monomial is mark(g) + a, which the ``Ideal`` carries as its
-    mark, so ``buchberger`` orders the products by it without searching
-    them.
+    GB(J_0) = I, and at n = 1 each b_i * b_j is taken for i <= j only.  The
+    ``Ideal`` holds the products unbuilt, as the g and their ``times``, the
+    exponents a.  Each g leads with its mark, as every basis that
+    ``buchberger`` returns does, so ``buchberger`` orders the products by
+    their leading monomials mark(g) + a without a search of g.  It reads
+    each in difference form, x^a g - g, only at its turn, so it builds no
+    product after the colength stop.
     Reuse a basis only under the ordering that made it: fed to a far
     ordering, these short generators can make Buchberger's coefficients
     blow up.
@@ -64,21 +68,18 @@ def jn_bases(sg: AffineSemigroup, ord: MatrixOrdering):
     dim S/I^(n+1) counts the monomials of degree <= n in two variables.
 
     A semigroup with more than ``MAX_GENERATORS`` generators raises
-    ``ValueError`` before any product is built.
+    ``ValueError`` before any product is queued.
     """
     if len(sg.generators) > MAX_GENERATORS:
         raise ValueError(f"the semigroup has {len(sg.generators)} generators, "
                          f"above the cap of {MAX_GENERATORS}")
-    gens = [(Poly.monomial(sg, a) - 1, a) for a in sg.generators]
+    gens = [Poly.monomial(sg, a) - 1 for a in sg.generators]
+    times = [sg.generators[i:] for i in range(len(gens))]
     for n in itertools.count(1):
-        polys, marks = zip(*(
-            (g.shift_sub(a, g, (0, 0)), vadd(m, a))
-            for i, (g, m) in enumerate(gens)
-            for a in sg.generators[i if n == 1 else 0:]
-        ))
-        basis = buchberger(Ideal(polys, (n + 1) * (n + 2) // 2, marks), ord)
+        basis = buchberger(Ideal(gens, (n + 1) * (n + 2) // 2, times), ord)
         yield basis
-        gens = basis.elements
+        gens = [g for g, _ in basis.elements]
+        times = [sg.generators] * len(gens)
 
 
 def jn_basis_at(sg: AffineSemigroup, ord: MatrixOrdering, n: int):

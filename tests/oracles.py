@@ -11,7 +11,8 @@ the ℚ[λ] gcd that checks
 basis of J_n which never calls ``buchberger``, the check that a list of
 cones tiles a support cone in angular order, an inter-reduction that
 divides every kept element, the primitive part of a polynomial over
-Fractions, and the points below a staircase walked column by column.
+Fractions, the points below a staircase walked column by column, and the
+J_n tower with every product built before Buchberger runs.
 It also holds the inputs that several test modules share: the cyclic
 quotient cones up to a given index (``cyclic_cones``), a
 polynomial's terms with their coefficient types (``typed_terms``), and
@@ -19,13 +20,14 @@ the reduced basis of J_1 on A3 pinned in ``golden/a3_j1_basis.json``
 (``golden_j1_basis``).
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
 from nashfan.algebra import MatrixOrdering, Poly
-from nashfan.groebner import MarkedBasis, _divisor, _reduce
+from nashfan.groebner import Ideal, MarkedBasis, _divisor, _reduce, buchberger
 from nashfan.lattice import (
     AffineSemigroup,
     Cone2,
@@ -293,7 +295,7 @@ def full_interreduce(pairs, ord: MatrixOrdering) -> MarkedBasis:
     kept, table = [], []
     for g, m in sorted(pairs, key=lambda gm: ord.key(gm[1])):
         a, b = cone_coords(dual, m)
-        if not any(a >= am and b >= bm for am, bm, _, _, _ in table):
+        if not any(a >= am and b >= bm for am, bm, *_ in table):
             g = _reduce(g, table, ord)
             lc = g.terms[m]
             g = g if lc == 1 else g * Fraction(1, lc)
@@ -352,3 +354,21 @@ def golden_j1_basis(ordering):
     """The reduced basis of J_1 on A3 under ordering, read from the golden file."""
     path = Path(__file__).parent / "golden" / "a3_j1_basis.json"
     return MarkedBasis.from_json(ordering, json.loads(path.read_text()))
+
+
+def eager_jn_bases(sg, ord):
+    """``nash.jn_bases`` with every product built before ``buchberger`` runs:
+    each g * (x^a - 1), for g in GB(J_(n-1)) and a a generator, or at n = 1
+    for the binomials b_i * b_j with i <= j, is built by ``Poly.shift_sub``
+    and handed over as a plain generator, which ``buchberger`` orders by
+    its leading monomial."""
+    gens = [Poly.monomial(sg, a) - 1 for a in sg.generators]
+    for n in itertools.count(1):
+        products = [
+            g.shift_sub(a, g, (0, 0))
+            for i, g in enumerate(gens)
+            for a in sg.generators[i if n == 1 else 0:]
+        ]
+        basis = buchberger(Ideal(products, (n + 1) * (n + 2) // 2), ord)
+        yield basis
+        gens = [g for g, _ in basis.elements]

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import math
@@ -114,7 +115,7 @@ def reference_reduce(f, pairs, ord):
 def row_pair(row, sg):
     """The (poly, mark) pair of a ``divisor_table`` row: the poly is its
     mark term plus its tail."""
-    _, _, lc, tail, mark = row
+    _, _, lc, tail, mark, _ = row
     return Poly(sg, {mark: lc, **{(u0, u1): c for u0, u1, c in tail}}), mark
 
 
@@ -131,13 +132,17 @@ def kernel_orderings(sg):
     return sweep_start(sg), MatrixOrdering((s.ray2, vadd(s.ray1, s.ray2)), sg)
 
 
+def random_kernel_member(sg, rng):
+    e = (0, 0)
+    for g in sg.generators:
+        e = vadd(e, vscale(rng.randint(0, 2), g))
+    return e
+
+
 def random_kernel_poly(sg, rng):
     terms = {}
     for _ in range(rng.randint(1, 6)):
-        e = (0, 0)
-        for g in sg.generators:
-            k = rng.randint(0, 2)
-            e = (e[0] + k * g[0], e[1] + k * g[1])
+        e = random_kernel_member(sg, rng)
         num = rng.randint(-9, 9)
         terms[e] = num if rng.random() < 0.5 else Fraction(num, rng.randint(1, 4))
     return Poly(sg, terms)
@@ -291,6 +296,67 @@ def test_reduce_stores_coefficients_as_a_poly_does():
     assert integral > 500 and fractional > 500
 
 
+def test_reduce_reads_the_difference_form():
+    """_reduce(g, table, ord, a, h, b) divides x^a g - x^b h, read from the
+    two term dicts: it equals _reduce of g.shift_sub(a, h, b), term order
+    and coefficient types included, and the reference division of that
+    difference by the monic rows, or by non-monic integer rows a nonzero
+    multiple of it.  Its result stores an integral value as an int and
+    leads with its leading monomial.  The rows are the product generators
+    of J_1, under the kernel orderings of the kernel cones; g, h and the
+    shifts are seeded random: Fraction coefficients by monic rows; integral
+    g, h by non-monic rows; Fraction g, h whose difference is integral, by
+    non-monic rows, where a summed coefficient must be demoted before
+    pseudo-division meets it; h = g with a = b, and h = x^(a - b) g, which
+    give zero; h = x^(a - b) g + r, whose terms cancel all of x^a g's; and
+    an empty table, which returns the difference sorted."""
+    rng = random.Random(347)
+    kinds = collections.Counter()
+    for c in KERNEL_CONES:
+        sg = AffineSemigroup(c)
+        for ord in kernel_orderings(sg):
+            monic = monic_products(sg, ord, 1)
+            non_monic = [
+                (g + (rng.choice((2, 3, -2)) - 1) * Poly.monomial(sg, m), m) for g, m in monic
+            ]
+            for _ in range(3):
+                g, r = random_kernel_poly(sg, rng), random_kernel_poly(sg, rng)
+                b, d = random_kernel_member(sg, rng), random_kernel_member(sg, rng)
+                a = vadd(b, d)
+                scale = math.lcm(*[v.denominator for p in (g, r) for v in p.terms.values()])
+                integral = random_kernel_poly(sg, rng)
+                integral = integral * math.lcm(*[v.denominator for v in integral.terms.values()])
+                cases = {
+                    "fractions": (g, a, r, b, monic),
+                    "non-monic": (g * scale, a, r * scale, b, non_monic),
+                    "integral difference": (integral + r, a, shift(r, d), b, non_monic),
+                    "h = g": (g, a, g, a, monic),
+                    "shifted g": (g, a, shift(g, d), b, monic),
+                    "cancel": (g, a, shift(g, d) + r, b, monic),
+                    "empty table": (g, a, r, b, []),
+                }
+                for kind, (f, x, h, y, pairs) in cases.items():
+                    table = groebner.divisor_table(pairs, ord)
+                    got = groebner._reduce(f, table, ord, x, h, y)
+                    diff = f.shift_sub(x, h, y)
+                    assert typed_terms(got) == typed_terms(groebner._reduce(diff, table, ord)), kind
+                    want = reference_reduce(diff, [(p * Fraction(1, p.terms[m]), m) for p, m in pairs], ord)
+                    if pairs is non_monic and not want.is_zero:
+                        e = next(iter(want.terms))
+                        want = want * (Fraction(got.terms[e]) / want.terms[e])
+                    assert got == want, kind
+                    for e, v, t in typed_terms(got):
+                        assert v != 0 and (t is int or v.denominator != 1), (kind, e, v)
+                    if not got.is_zero:
+                        assert next(iter(got.terms)) == leading_monomial(ord, got), kind
+                    if kind in ("h = g", "shifted g"):
+                        assert got.is_zero, kind
+                    if kind == "empty table":
+                        assert got == diff
+                    kinds[kind] += not got.is_zero
+    assert min(n for kind, n in kinds.items() if kind not in ("h = g", "shifted g")) > 100, kinds
+
+
 def test_reduce_holds_only_its_pending_records(monkeypatch):
     """A record taken from the heap leaves the kernel's dict.  On
     cone((0,1),(10001,−10000)) at n = 1 two _reduce calls each take about
@@ -300,10 +366,10 @@ def test_reduce_holds_only_its_pending_records(monkeypatch):
     real = groebner._reduce
     peaks = []
 
-    def traced(f, table, ord):
+    def traced(*args):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        r = real(f, table, ord)
+        r = real(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return r
 
@@ -369,7 +435,7 @@ def test_reduce_skips_a_cancelled_term_without_dividing_it():
     for k in (1, 2):
         f = Poly(sg, {(3, 0): 1, (0, k): 1})
         pairs = [(f, (3, 0)), (Poly(sg, {(0, 1): 1, (0, 0): 1}), (0, 1))]
-        table = [(*row[:3], CountingTail(row[3]), row[4]) for row in groebner.divisor_table(pairs, ord)]
+        table = [(*row[:3], CountingTail(row[3]), *row[4:]) for row in groebner.divisor_table(pairs, ord)]
         assert groebner._reduce(f, table, ord) == reference_reduce(f, pairs, ord) == Poly.zero(sg)
         assert {row[4]: row[3].reads for row in table} == {(3, 0): 1, (0, 1): 0}, k
 
@@ -497,7 +563,7 @@ def test_normal_form_reads_fewer_tail_terms_than_mark_order(a3, jn_basis, monkey
         return rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
 
     def counted(table):
-        return [(*row[:3], CountingTail(row[3]), row[4]) for row in table]
+        return [(*row[:3], CountingTail(row[3]), *row[4:]) for row in table]
 
     def tail_terms_read(table):
         return sum(row[3].reads * len(row[3]) for row in table)
@@ -530,8 +596,8 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
     calls, final = [], []
     reduce, interreduce = groebner._reduce, groebner.interreduce
 
-    def recording(f, table, ord):
-        r = reduce(f, table, ord)
+    def recording(f, table, ord, *diff):
+        r = reduce(f, table, ord, *diff)
         if not final:
             calls.append((list(table), r))
         return r
@@ -551,7 +617,7 @@ def test_buchberger_table_matches_a_fresh_table(a3, monkeypatch):
         working = []
         for table, r in calls:
             assert table == groebner.divisor_table(working, ord)
-            assert all(lc > 0 for _, _, lc, _, _ in table)
+            assert all(lc > 0 for _, _, lc, _, _, _ in table)
             if not r.is_zero:
                 g = groebner._primitive(r)
                 working.append((g, leading_monomial(ord, g)))
@@ -609,8 +675,8 @@ def test_final_pass_divides_exactly_the_elements_it_changes(a3, monkeypatch):
         runs += 1
         return got
 
-    def dividing(f, table, ord):
-        r = reduce(f, table, ord)
+    def dividing(f, table, ord, *diff):
+        r = reduce(f, table, ord, *diff)
         if sys._getframe(1).f_code is interreduce.__code__:
             divisions.append(r != f)
         return r
@@ -859,7 +925,8 @@ def test_a3_tower_coefficients_are_int(jn_basis):
 
 
 def test_working_basis_stays_integral(a3, monkeypatch):
-    """Every f that buchberger divides has int coefficients, and every divisor
+    """Every f that buchberger divides has int coefficients (both f and h in
+    the difference form x^a f - x^b h), and every divisor
     is either all-int (a primitive working element) or monic (a kept element
     of the final pass), also on a sweep that ends with Fraction coefficients.
 
@@ -885,18 +952,20 @@ def test_working_basis_stays_integral(a3, monkeypatch):
 
     inner = groebner._reduce
 
-    def checking(f, table, ord):
+    def checking(f, table, ord, *diff):
         pairs = [row_pair(row, ord.sg) for row in table]
         if running:
-            assert all(type(c) is int for c in f.terms.values()), f
+            for p in (f, *diff[1:2]):
+                assert all(type(c) is int for c in p.terms.values()), p
         else:
+            assert not diff
             assert all(g.terms[m] == 1 for g, m in pairs), f
             outside.append(f)
         for g, m in pairs:
             assert g.terms[m] == 1 or all(type(c) is int for c in g.terms.values()), g
             if g.terms[m] != 1:
                 non_monic.append(m)
-        return inner(f, table, ord)
+        return inner(f, table, ord, *diff)
 
     track(nash_module)
     track(fan_module)
@@ -985,31 +1054,24 @@ def test_raw_s_step_gives_the_reduced_basis(monkeypatch):
     often: li != lj, so the term at m survives with coefficient li - lj,
     and the row of smallest mark dividing m, which takes the first step
     at m, is neither i nor j."""
-    shift_sub, reduce = Poly.shift_sub, groebner._reduce
-    pending = []
+    reduce = groebner._reduce
     third = 0
 
-    def recording_shift_sub(g, a, h, b):
-        f = shift_sub(g, a, h, b)
-        pending.append((g, a, h, f))
-        return f
-
-    def checking(f, table, ord):
+    def checking(gi, table, ord, *diff):
         nonlocal third
-        # only buchberger's S-step calls shift_sub here, right before it
-        # reduces the result
-        if pending:
-            gi, a, gj, s = pending.pop()
-            assert s is f
+        # the generators here are built, so only the S-step divides in
+        # difference form, x^a gi - x^b gj
+        if diff:
+            a, gj, b = diff
             mi, mj = next(iter(gi.terms)), next(iter(gj.terms))
             m = vadd(mi, a)
+            assert vadd(mj, b) == m
             if gi.terms[mi] != gj.terms[mj]:
-                assert f.terms[m] == gi.terms[mi] - gj.terms[mj]
+                assert gi.shift_sub(a, gj, b).terms[m] == gi.terms[mi] - gj.terms[mj]
                 first = min((row[4] for row in table if divides(ord.sg, row[4], m)), key=ord.key)
                 third += first not in (mi, mj)
-        return reduce(f, table, ord)
+        return reduce(gi, table, ord, *diff)
 
-    monkeypatch.setattr(Poly, "shift_sub", recording_shift_sub)
     monkeypatch.setattr(groebner, "_reduce", checking)
     rng = random.Random(307)
     runs = []
@@ -1165,8 +1227,8 @@ def test_colength_stop_fires_at_the_first_exact_count(a3, monkeypatch):
     reduce, interreduce = groebner._reduce, groebner.interreduce
     runs, calls = [], None
 
-    def recording(f, table, ord):
-        r = reduce(f, table, ord)
+    def recording(f, table, ord, *diff):
+        r = reduce(f, table, ord, *diff)
         if calls is not None:
             calls.append(r)
         return r
@@ -1245,41 +1307,59 @@ def test_buchberger_walks_the_staircase_once_per_finite_run(a3, monkeypatch):
         assert calls == [], s
 
 
-def test_marks_are_only_hints(a3, jn_basis, monkeypatch):
-    """buchberger reads an Ideal's marks only to order reduce-on-insert.
-
-    The tower's products at n = 2..4 are handed over again with their marks
-    shuffled, so that each mark is a term of some generator but mostly not
-    of its own, and with a random term of each generator as its mark; with
-    and without the colength, the reduced basis is unchanged.  The same
-    on the tower of a cyclic cone under the sweep's first ordering."""
+def test_times_may_come_in_any_order(a3, jn_basis, monkeypatch):
+    """An Ideal with times is generated by the products g_i * (x^a - 1),
+    which buchberger inserts by increasing first term of g_i plus a, ties
+    in the order that times lists them.  The tower's ideals at n = 2..4 are
+    handed over again with the generators and each tuple of times shuffled,
+    with each generator's terms listed in reverse, so that its first term
+    is its smallest, and as their products built by shift_sub, with no
+    times; with and without the colength, the reduced basis is unchanged.  The same on the tower of a
+    cyclic cone under the sweep's first ordering, and on the products of a
+    basis of its fan that holds Fractions, under that basis's ordering.
+    Times of the wrong count, none at all, or other than nonzero semigroup
+    members raise ValueError."""
     ideals = []
 
     def recording(ideal, ord):
         ideals.append((ideal, ord))
         return buchberger(ideal, ord)
 
-    monkeypatch.setattr(nash_module, "buchberger", recording)
     sg, ordering = a3
     expected = [jn_basis(n) for n in range(2, 5)]
+    monkeypatch.setattr(nash_module, "buchberger", recording)
     list(itertools.islice(nash_module.jn_bases(sg, ordering), 4))
     c = Cone2((0, 1), (7, -3))
     csg = AffineSemigroup(c)
     cyclic = list(itertools.islice(nash_module.jn_bases(csg, sweep_start(csg)), 3))
     cases = list(zip(ideals[1:4], expected)) + list(zip(ideals[5:7], cyclic[1:]))
+    monkeypatch.undo()
+    fractional = nash_fan(c, 2)[2].basis
+    assert any(type(v) is Fraction for g, _ in fractional.elements for v in g.terms.values())
+    gens = [g for g, _ in fractional.elements]
+    ideal = Ideal(gens, 10, [csg.generators] * len(gens))
+    cases.append(((ideal, fractional.ordering), buchberger(ideal, fractional.ordering)))
     rng = random.Random(113)
     for (ideal, ord), want in cases:
-        gens = ideal.generators
-        shuffled = list(ideal.marks)
-        rng.shuffle(shuffled)
-        assert sum(m != ideal.marks[i] for i, m in enumerate(shuffled)) > len(gens) // 2
-        terms = [rng.choice(sorted(g.terms)) for g in gens]
-        for marks in (shuffled, terms):
-            for colength in (ideal.colength, None):
-                got = groebner.buchberger(Ideal(gens, colength, marks), ord)
-                assert got == want, (ord, colength)
-    with pytest.raises(ValueError, match="marks for .* generators"):
-        Ideal(ideals[0][0].generators, None, ideals[0][0].marks[1:])
+        pairs = list(zip(ideal.generators, ideal.times))
+        rng.shuffle(pairs)
+        gens = [g for g, _ in pairs]
+        times = [rng.sample(ts, len(ts)) for _, ts in pairs]
+        assert gens != list(ideal.generators) and times != list(ideal.times)
+        reversed_terms = [Poly(g.sg, dict(reversed(g.terms.items()))) for g in ideal.generators]
+        built = [g.shift_sub(a, g, (0, 0)) for g, ts in zip(ideal.generators, ideal.times) for a in ts]
+        for colength in (ideal.colength, None):
+            assert buchberger(Ideal(gens, colength, times), ord) == want, (ord, colength)
+            assert buchberger(Ideal(reversed_terms, colength, ideal.times), ord) == want, (ord, colength)
+            assert buchberger(Ideal(built, colength), ord) == want, (ord, colength)
+    gens = ideals[0][0].generators
+    with pytest.raises(ValueError, match="times for .* generators"):
+        Ideal(gens, None, ideals[0][0].times[1:])
+    with pytest.raises(ValueError, match="at least one product"):
+        Ideal(gens, None, [()] * len(gens))
+    for a in ((0, 0), vscale(-1, sg.generators[0])):
+        with pytest.raises(ValueError, match="not a nonzero semigroup member"):
+            Ideal(gens, None, [(a,)] * len(gens))
 
 
 def test_quotient_dimension_matches_linear_algebra_oracle(a3, jn_basis):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import nashfan.nash as nash_module
+from nashfan import groebner
 from nashfan.algebra import MatrixOrdering, Poly, leading_monomial
 from nashfan.fan import sweep_start
 from nashfan.groebner import buchberger, normal_form, Ideal
@@ -39,10 +40,12 @@ from nashfan.nash import (
 from oracles import (
     cyclic_cones,
     divides,
+    eager_jn_bases,
     laurent_gcd,
     phi_ideal_is_power,
     psi,
     theta,
+    typed_terms,
     validate_fan,
     vdot,
 )
@@ -359,15 +362,22 @@ def test_phi_of_jn_is_the_power_ideal():
         assert phi_ideal_is_power(n)
 
 
-def test_jn_bases_marks_are_leading_monomials(monkeypatch):
-    """Every mark jn_bases hands to buchberger is the leading monomial of
-    its product: on A3 to n = 10 and on every cyclic cone with d <= 9 to
-    n = 3."""
-    ideals = []
+def test_jn_bases_hands_over_products_by_times(monkeypatch):
+    """Every ideal jn_bases hands to buchberger is given by generators and
+    times, and its colength is (n+1)(n+2)/2: at n = 1 the binomials
+    x^(a_i) - 1, the i-th with the generators from a_i on, so that each
+    b_i * b_j is taken for i <= j only; above, the elements of the basis
+    yielded before, each with every generator.  Each generator's first
+    term is its leading monomial, so buchberger, which orders the products
+    by first terms, inserts them by increasing leading monomial.  On A3 to
+    n = 10 and on every cyclic cone with d <= 9 to n = 3."""
+    calls = []
 
     def recording(ideal, ord):
-        ideals.append((ideal, ord))
-        return buchberger(ideal, ord)
+        basis = buchberger(ideal, ord)
+        assert all(next(iter(g.terms)) == leading_monomial(ord, g) for g in ideal.generators)
+        calls.append((ideal, basis))
+        return basis
 
     monkeypatch.setattr(nash_module, "buchberger", recording)
     sg = a3_semigroup()
@@ -376,12 +386,72 @@ def test_jn_bases_marks_are_leading_monomials(monkeypatch):
         csg = AffineSemigroup(c)
         cases.append((csg, sweep_start(csg), 3))
     for sg, ordering, n_max in cases:
-        ideals.clear()
+        calls.clear()
         for _ in zip(range(n_max), jn_bases(sg, ordering)):
             pass
-        assert len(ideals) == n_max
-        for ideal, ord in ideals:
-            assert ideal.marks == tuple(leading_monomial(ord, g) for g in ideal.generators)
+        assert len(calls) == n_max
+        gens = sg.generators
+        ideal, _ = calls[0]
+        assert ideal.generators == tuple(Poly.monomial(sg, a) - 1 for a in gens)
+        assert ideal.times == tuple(gens[i:] for i in range(len(gens)))
+        for (_, prev), (ideal, _) in zip(calls, calls[1:]):
+            assert ideal.generators == tuple(g for g, _ in prev.elements)
+            assert ideal.times == (gens,) * len(prev.elements)
+        assert [ideal.colength for ideal, _ in calls] == [(n + 1) * (n + 2) // 2 for n in range(1, n_max + 1)]
+
+
+def test_jn_bases_matches_the_eager_tower():
+    """jn_bases hands buchberger its products unbuilt; oracles.eager_jn_bases
+    builds every one first.  Their bases agree term for term, coefficient
+    types and term order included: on A3 to n = 12, on cone((0,1),(7,−3))
+    to n = 4, on cone((0,1),(31,−12)) to n = 3, whose bases hold
+    coefficients up to 11,935, and on cone((0,1),(101,−1)) at n = 1."""
+    sg = a3_semigroup()
+    cases = [(sg, a3_ordering(sg), 12)]
+    for ray, n_max in (((7, -3), 4), ((31, -12), 3), ((101, -1), 1)):
+        csg = AffineSemigroup(Cone2((0, 1), ray))
+        cases.append((csg, sweep_start(csg), n_max))
+    largest = []
+    for sg, ordering, n_max in cases:
+        largest.append(0)
+        towers = zip(range(1, n_max + 1), jn_bases(sg, ordering), eager_jn_bases(sg, ordering))
+        for n, got, want in towers:
+            assert got == want, (sg, n)
+            typed = [(m, typed_terms(g)) for g, m in got.elements]
+            assert typed == [(m, typed_terms(g)) for g, m in want.elements], (sg, n)
+            largest[-1] = max(largest[-1], *(abs(c) for _, terms in typed for _, c, _ in terms))
+    assert largest[2] == 11935
+
+
+def test_jn_bases_builds_no_product(monkeypatch):
+    """On A3 to n = 7 the tower calls Poly.shift_sub 0 times and _reduce 86
+    times, 33 of them to zero: it reduces each product in difference form
+    at its turn, and the 37 of the 123 products that come after the
+    colength stops are never read."""
+    shift_sub, reduce = Poly.shift_sub, groebner._reduce
+    built, reduced, queued = [], [], []
+
+    def queueing(ideal, ord):
+        queued.append(sum(map(len, ideal.times)))
+        return buchberger(ideal, ord)
+
+    def counting_shift_sub(*args):
+        built.append(args)
+        return shift_sub(*args)
+
+    def counting_reduce(*args):
+        r = reduce(*args)
+        reduced.append(r.is_zero)
+        return r
+
+    monkeypatch.setattr(Poly, "shift_sub", counting_shift_sub)
+    monkeypatch.setattr(groebner, "_reduce", counting_reduce)
+    monkeypatch.setattr(nash_module, "buchberger", queueing)
+    sg = a3_semigroup()
+    for _ in zip(range(7), jn_bases(sg, a3_ordering(sg))):
+        pass
+    assert len(built) == 0
+    assert len(reduced) == 86 and sum(reduced) == 33 and sum(queued) == 123
 
 
 def test_verify_paper_builds_each_family_once(monkeypatch):
